@@ -35,7 +35,8 @@ def _run_sequential(designs):
 def _run_batched_cold(designs):
     # A fresh session per round: pedantic must measure the cold batch
     # path, not cache lookups against a session reused across rounds.
-    return Simulator().run_many(designs)
+    # Two workers, explicitly: the default width is 1 under a GIL.
+    return Simulator(max_workers=2).run_many(designs)
 
 
 def test_batch_api_matches_and_keeps_pace(benchmark, write_result,
@@ -46,7 +47,7 @@ def test_batch_api_matches_and_keeps_pace(benchmark, write_result,
     sequential = _run_sequential(designs)
     sequential_s = time.perf_counter() - started
 
-    cold = Simulator()
+    cold = Simulator(max_workers=2)
     started = time.perf_counter()
     batched = cold.run_many(designs)
     batch_cold_s = time.perf_counter() - started

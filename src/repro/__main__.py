@@ -571,7 +571,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(default: $REPRO_CACHE_DIR)")
         target.add_argument("--max-workers", type=int, default=None,
                             help="width of the shared session's simulation "
-                                 "pool (default: auto)")
+                                 "pool (default: 1 thread on GIL builds, "
+                                 "where more threads only contend for the "
+                                 "lock; max(2, CPUs) for process pools and "
+                                 "free-threaded builds)")
         target.add_argument("--ready-file", default=None,
                             help="write the bound address here as JSON once "
                                  "listening (ephemeral-port rendezvous)")

@@ -45,8 +45,8 @@ class Design:
     """
 
     __slots__ = ("_stages", "_graph", "_system", "_mapping", "_name",
-                 "_hash_cache", "_resolved_cache", "_checks_cache",
-                 "_pass_memo")
+                 "_hash_cache", "_head_cache", "_resolved_cache",
+                 "_checks_cache", "_pass_memo")
 
     def __init__(self, stages: Union[StageGraph, Sequence[Stage]],
                  system: SensorSystem,
@@ -67,6 +67,7 @@ class Design:
         object.__setattr__(self, "_name",
                            name if name is not None else system.name)
         object.__setattr__(self, "_hash_cache", None)
+        object.__setattr__(self, "_head_cache", None)
         object.__setattr__(self, "_resolved_cache", None)
         object.__setattr__(self, "_checks_cache", None)
         object.__setattr__(self, "_pass_memo", None)
@@ -170,6 +171,48 @@ class Design:
             # across every captured SimResult.
             raise type(cached)(*cached.args) from cached
 
+    # --- derived designs ----------------------------------------------------
+
+    def with_system(self, system: SensorSystem) -> "Design":
+        """This design with its hardware replaced by ``system``.
+
+        The twin shares this design's stage graph, mapping and name, and
+        the mapping is validated against ``system`` as in the
+        constructor.  When this design has a content hash, the twin's is
+        seeded from this design's canonical text minus the system (kept
+        per design) plus the canonical form of ``system``: the same
+        bytes :attr:`content_hash` would hash, without re-encoding the
+        stages.
+        """
+        twin = Design(self._graph, system, self._mapping, name=self._name)
+        head = self._canonical_head()
+        if head is not None:
+            try:
+                tail = _canonical(serialize.encode_system(system))
+            except SerializationError:
+                return twin  # hashed (and failing) lazily, as usual
+            object.__setattr__(twin, "_hash_cache",
+                               _sha256(head + tail + "}"))
+            object.__setattr__(twin, "_head_cache", head)
+        return twin
+
+    def _canonical_head(self) -> Optional[str]:
+        """The canonical text of :meth:`to_dict` up to the system value.
+
+        ``"system"`` sorts after every other top-level key of the
+        payload, so the canonical text is this head, the canonical
+        system, and a closing brace.  ``None`` without a content hash.
+        """
+        cached = self._head_cache
+        if cached is None:
+            if self._content_hash_or_none() is None:
+                return None
+            payload = self.to_dict()
+            del payload["system"]
+            cached = _canonical(payload)[:-1] + ',"system":'
+            object.__setattr__(self, "_head_cache", cached)
+        return cached
+
     # --- legacy triple protocol ---------------------------------------------
 
     def __iter__(self) -> Iterator:
@@ -238,14 +281,13 @@ class Design:
         cached = self._hash_cache
         if cached is None:
             try:
-                canonical = json.dumps(self.to_dict(), sort_keys=True,
-                                       separators=(",", ":"))
+                canonical = _canonical(self.to_dict())
             except SerializationError as error:
                 # Remember the failure too: custom-typed designs would
                 # otherwise re-walk the whole tree on every hash/eq/key.
                 object.__setattr__(self, "_hash_cache", error)
                 raise
-            cached = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            cached = _sha256(canonical)
             object.__setattr__(self, "_hash_cache", cached)
         if isinstance(cached, SerializationError):
             raise cached
@@ -281,3 +323,12 @@ class Design:
             digest = "<unhashable>"
         return (f"Design({self._name!r}, stages={len(self._stages)}, "
                 f"hash={digest})")
+
+
+def _canonical(payload: Any) -> str:
+    """The canonical JSON text a content hash is taken over."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -18,7 +18,6 @@ and simply recreates its pools on demand.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 import warnings
@@ -77,8 +76,8 @@ class BatchStats:
 
     ``retries``/``timeouts``/``pool_rebuilds``/``quarantined`` are the
     batch's resilience events: transient-failure re-runs, per-task
-    deadline expiries, process-pool heals after a worker death, and
-    designs failed with a typed
+    deadline expiries, pool rebuilds after a worker death or a hung
+    task, and designs failed with a typed
     :class:`~repro.exceptions.WorkerCrashError` after repeatedly
     killing workers.  ``lease_expiries`` counts distributed-executor
     leases that timed out and were re-dispatched (a remote worker died
@@ -131,9 +130,11 @@ class Simulator:
         Session-default options; ``None`` means ``SimOptions()``.
     max_workers:
         Worker-pool width for :meth:`run_many`.  Defaults to
-        ``min(len(batch), max(2, os.cpu_count()))`` so batches always
-        exercise multiple workers; the persistent pool grows to the
-        widest batch seen.
+        ``min(len(batch), max(2, os.cpu_count()))``, except for the
+        ``"thread"`` executor under a GIL, where it is 1: simulation
+        is pure Python, so a second thread only contends for the
+        interpreter lock and runs the batch slower.  The persistent
+        pool grows to the widest batch seen.
     cache:
         Enable per-design result caching keyed by
         ``(design.content_hash, options)``.  Designs containing custom,
@@ -766,7 +767,7 @@ class Simulator:
         max_workers = self._max_workers
         if max_workers is None:
             max_workers = min(max(len(pending), 1),
-                              max(2, os.cpu_count() or 1))
+                              self._executor.default_width())
         worker_ids = set()
         counters = _BatchCounters()
 

@@ -18,6 +18,7 @@ sessions that do not name one.
 
 from __future__ import annotations
 
+import os
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Dict, Tuple
 
@@ -73,6 +74,11 @@ class SimulationExecutor(ABC):
                     max_workers: int, worker_ids: set,
                     counters) -> Dict[Any, "SimResult"]:
         """Execute every pending job; return ``{key: SimResult}``."""
+
+    def default_width(self) -> int:
+        """Worker budget of a batch when the session sets no
+        ``max_workers`` (capped at the batch's pending job count)."""
+        return max(2, os.cpu_count() or 1)
 
     def pool_width_floor(self, session) -> int:
         """Lower bound on the batch's worker budget (pool reuse).

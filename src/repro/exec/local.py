@@ -1,7 +1,7 @@
 """The in-process executor backends: ``inline``, ``thread``, ``process``.
 
 These wrap what :meth:`repro.api.Simulator.run_many` used to hard-code:
-the thread-pool fan-out with whole-task deadlines, and the windowed,
+the thread-pool drain loops with per-task deadlines, and the windowed,
 self-healing process-pool runner with crash quarantine.  ``inline`` is
 the degenerate backend — sequential execution in the calling thread
 with the same retry semantics — useful for debugging, deterministic
@@ -15,10 +15,11 @@ parallelism (and therefore the wall clock and ``workers_used``) differs.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 from collections import deque
-from concurrent.futures import BrokenExecutor
+from concurrent.futures import BrokenExecutor, Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures import FIRST_COMPLETED
 from concurrent.futures import wait as futures_wait
@@ -67,9 +68,22 @@ class InlineExecutor(SimulationExecutor):
 
 
 class ThreadExecutor(SimulationExecutor):
-    """Fan the batch across the session's persistent thread pool."""
+    """Drain the batch on the session's persistent thread pool.
+
+    The batch becomes a queue of per-key futures drained by at most
+    ``max_workers`` loops on the pool, not one pool task per job.
+    Simulation is pure Python, so under a GIL extra threads only
+    contend for it: an unset ``max_workers`` means one loop there
+    (:meth:`default_width`), the old multi-worker width on
+    free-threaded builds.
+    """
 
     name = "thread"
+
+    def default_width(self) -> int:
+        if getattr(sys, "_is_gil_enabled", lambda: True)():
+            return 1
+        return super().default_width()
 
     def pool_width_floor(self, session) -> int:
         return session._thread_pool_width or 0
@@ -97,38 +111,86 @@ class ThreadExecutor(SimulationExecutor):
                 time.sleep(policy.backoff_s(attempt, key))
                 attempt += 1
 
-        with session._pools_lock:
-            pool = session._acquire_pool("thread", max_workers)
-            futures = {key: pool.submit(job, key, design, resolved)
-                       for key, (design, resolved) in pending.items()}
+        futures = {key: Future() for key in pending}
+        queue = deque(futures.items())
+        started: Dict[Any, float] = {}
+        #: Bumped when a wedged pool is retired and when the harvest
+        #: ends: stale loops stop taking work once their task returns.
+        generation = [0]
 
-        # A running thread cannot be interrupted, so in thread mode the
-        # deadline covers the whole task and is enforced at harvest: a
-        # late task is reported as a typed timeout while its thread is
-        # left to finish in the background (the stray result is simply
-        # dropped — never cached, because the store happens here).
+        def drain(mine: int) -> None:
+            while generation[0] == mine:
+                try:
+                    key, future = queue.popleft()
+                except IndexError:
+                    return
+                if not future.set_running_or_notify_cancel():
+                    continue
+                started[key] = time.monotonic()
+                try:
+                    future.set_result(job(key, *pending[key]))
+                except BaseException as error:
+                    future.set_exception(error)
+
+        def abandon(loop: Future) -> None:
+            # The session closed with cancel_pending before this loop
+            # ran: cancel the queued tasks, as the pool would have.
+            if loop.cancelled():
+                for _, future in queue.copy():
+                    future.cancel()
+
+        def launch():
+            with session._pools_lock:
+                pool = session._acquire_pool("thread", max_workers)
+                for _ in range(min(max_workers, len(queue))):
+                    pool.submit(drain, generation[0]) \
+                        .add_done_callback(abandon)
+            return pool
+
+        # A running thread cannot be interrupted, so a task's deadline
+        # (from the moment it starts, retries included) is enforced at
+        # harvest: a late task is reported as a typed timeout, its pool
+        # is retired so the rest of the queue drains on a fresh one,
+        # and the stray thread finishes in the background (its result
+        # is dropped here).
+        pool = launch()
         outcomes: Dict[Any, SimResult] = {}
-        deadline = (time.monotonic() + policy.timeout_s
-                    if policy.timeout_s is not None else None)
-        for key, future in futures.items():
-            try:
-                if deadline is None:
+        try:
+            for key, future in futures.items():
+                if policy.timeout_s is None:
                     outcomes[key] = future.result()
-                else:
-                    outcomes[key] = future.result(timeout=max(
-                        deadline - time.monotonic(), 0.0))
-            except FuturesTimeoutError:
-                future.cancel()  # only helps tasks still queued
-                counters.add("timeouts")
-                design, resolved = pending[key]
-                design_hash = key[0] if key[0] is not UNCACHED else None
-                outcomes[key] = SimResult(
-                    design_name=design.name, options=resolved,
-                    design_hash=design_hash,
-                    error=ExecutionTimeoutError(
-                        f"task {design.name!r} exceeded the "
-                        f"{policy.timeout_s:g}s deadline"),
-                    elapsed_s=policy.timeout_s)
+                    continue
+                while True:
+                    begun = started.get(key)
+                    wait_s = policy.timeout_s if begun is None \
+                        else begun + policy.timeout_s - time.monotonic()
+                    try:
+                        outcomes[key] = future.result(
+                            timeout=max(wait_s, 0.0))
+                    except FuturesTimeoutError:
+                        if begun is None:
+                            continue  # queued: its deadline has not begun
+                        counters.add("timeouts")
+                        design, resolved = pending[key]
+                        design_hash = key[0] if key[0] is not UNCACHED \
+                            else None
+                        outcomes[key] = SimResult(
+                            design_name=design.name, options=resolved,
+                            design_hash=design_hash,
+                            error=ExecutionTimeoutError(
+                                f"task {design.name!r} exceeded the "
+                                f"{policy.timeout_s:g}s deadline"),
+                            elapsed_s=policy.timeout_s)
+                        counters.add("pool_rebuilds")
+                        generation[0] += 1
+                        session._retire_pool("thread", pool)
+                        if queue:
+                            pool = launch()
+                    break
+        finally:
+            # An interrupted harvest (Ctrl-C) leaves nobody to collect
+            # the rest of the queue: stop the loops instead.
+            generation[0] += 1
         return outcomes
 
 

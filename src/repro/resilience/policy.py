@@ -95,7 +95,8 @@ class RetryPolicy:
     ``timeout_s``
         Per-task deadline; ``None`` disables deadlines.  In process
         mode the deadline covers one attempt (the worker can be
-        reclaimed); in thread mode it covers the whole task, since a
+        reclaimed); in thread mode it covers the whole task, retries
+        included, from the moment the task starts running, since a
         running thread cannot be interrupted.
     ``retry_timeouts``
         Whether a deadline expiry is retried like a transient failure.

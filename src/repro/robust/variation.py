@@ -10,13 +10,19 @@ bit-identically across thread and process executors, across restarts,
 and regardless of evaluation order.  Sample ``0`` is reserved for the
 nominal design and always draws factor ``1.0`` for every parameter.
 
-Perturbation happens on the serialized design payload: deep-copy,
-multiply the addressed numeric fields, decode back through
-:meth:`~repro.api.design.Design.from_dict`.  The perturbed design gets
-its own content hash, so the session cache, batch dedup, and the disk
-tier all work untouched.  An all-ones factor set short-circuits to the
-original design object — the zero-variation ensemble is the nominal
-path, bit for bit.
+Every parameter group addresses the ``system`` part of the payload,
+so perturbation copies only that: the base system's JSON text is kept
+per base content hash, and each sample parses it, multiplies the
+addressed numeric fields, decodes the system, and swaps it into the
+base design (:meth:`~repro.api.design.Design.with_system`), sharing
+the base's stage graph and mapping.  The perturbed design's content
+hash is byte-for-byte the one a full payload round trip through
+:meth:`~repro.api.design.Design.from_dict` would give, so the session
+cache, batch dedup, and the disk tier all work untouched.
+:func:`perturb_payload` keeps the full-payload form for callers that
+ship payloads (spec files, serve clients).  An all-ones factor set
+short-circuits to the original design object — the zero-variation
+ensemble is the nominal path, bit for bit.
 
 Named PVT corners (:func:`corner_set`) compile the first-order physics
 of :mod:`repro.tech.corners` into the same parameter-group vocabulary,
@@ -35,6 +41,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Tuple
 
+from repro.api import serialize
 from repro.api.design import Design
 from repro.exceptions import ConfigurationError, SerializationError
 from repro.tech.corners import PvtPoint, standard_pvt_points
@@ -160,12 +167,16 @@ def perturb_payload(payload: Dict[str, Any],
         perturbed = json.loads(json.dumps(payload))
     except (TypeError, ValueError):
         perturbed = copy.deepcopy(payload)
-    system = perturbed.get("system", {})
+    _scale_system(perturbed.get("system", {}), factors)
+    return perturbed
+
+
+def _scale_system(system: Dict[str, Any],
+                  factors: Mapping[str, float]) -> None:
     for param in sorted(factors):
         factor = factors[param]
         if factor != 1.0:
             PARAMETER_GROUPS[param](system, factor)
-    return perturbed
 
 
 #: Recently perturbed designs, keyed by (base content hash, applied
@@ -175,6 +186,10 @@ def perturb_payload(payload: Dict[str, Any],
 #: and ride the result cache at full speed.
 _PERTURBED_LIMIT = 1024
 _perturbed_cache: "OrderedDict[Tuple[str, Tuple[Tuple[str, float], ...]], Design]" = OrderedDict()
+#: JSON text of recently perturbed base systems, keyed by base content
+#: hash: each sample parses (copies) and scales only this.
+_BASE_SYSTEM_LIMIT = 64
+_base_systems: "OrderedDict[str, str]" = OrderedDict()
 _perturbed_lock = threading.Lock()
 
 
@@ -183,31 +198,45 @@ def perturb_design(design: Design,
     """``design`` with ``factors`` applied; the identical object when
     every factor is exactly ``1.0`` (the nominal path, bit for bit).
 
+    Every parameter group scales the system alone, so only the system
+    is copied, scaled and decoded; the perturbed design shares the
+    base's stage graph and mapping (:meth:`Design.with_system`).
     Perturbed designs are memoized per (base design, factor set) — an
     ensemble replayed with the same seed returns the same design
     objects, so the simulator's content-hash cache serves it without
     re-decoding anything.
     """
+    _check_params(factors, "perturb_design")
     active = tuple((param, factors[param]) for param in sorted(factors)
                    if factors[param] != 1.0)
     if not active:
-        _check_params(factors, "perturb_design")
         return design
     base_hash = design._content_hash_or_none()
+    if base_hash is None:
+        return Design.from_dict(perturb_payload(design.to_dict(),
+                                                factors))
     key = (base_hash, active)
-    if base_hash is not None:
+    with _perturbed_lock:
+        cached = _perturbed_cache.get(key)
+        if cached is not None:
+            _perturbed_cache.move_to_end(key)
+            return cached
+        text = _base_systems.get(base_hash)
+        if text is not None:
+            _base_systems.move_to_end(base_hash)
+    if text is None:
+        text = json.dumps(serialize.encode_system(design.system))
         with _perturbed_lock:
-            cached = _perturbed_cache.get(key)
-            if cached is not None:
-                _perturbed_cache.move_to_end(key)
-                return cached
-    perturbed = Design.from_dict(perturb_payload(design.to_dict(),
-                                                 factors))
-    if base_hash is not None:
-        with _perturbed_lock:
-            _perturbed_cache[key] = perturbed
-            while len(_perturbed_cache) > _PERTURBED_LIMIT:
-                _perturbed_cache.popitem(last=False)
+            _base_systems[base_hash] = text
+            while len(_base_systems) > _BASE_SYSTEM_LIMIT:
+                _base_systems.popitem(last=False)
+    system = json.loads(text)
+    _scale_system(system, factors)
+    perturbed = design.with_system(serialize.decode_system(system))
+    with _perturbed_lock:
+        _perturbed_cache[key] = perturbed
+        while len(_perturbed_cache) > _PERTURBED_LIMIT:
+            _perturbed_cache.popitem(last=False)
     return perturbed
 
 

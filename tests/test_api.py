@@ -264,7 +264,9 @@ class TestRunMany:
         designs = self._grid() + [build_fig5_design(),
                                   build_usecase("threelayer")]
         assert len(designs) >= 8
-        simulator = Simulator()
+        # An explicit width keeps the multi-worker path covered; the
+        # default is pinned by test_default_width_follows_the_gil.
+        simulator = Simulator(max_workers=2)
         results = simulator.run_many(designs)
         assert [r.design_name for r in results] \
             == [d.name for d in designs]
@@ -272,6 +274,32 @@ class TestRunMany:
         stats = simulator.last_batch_stats
         assert stats.total == len(designs)
         assert stats.max_workers >= 2
+
+    def test_default_width_follows_the_gil(self, monkeypatch):
+        """Unset max_workers: one thread under a GIL, else the old
+        ``min(len(batch), max(2, cpu_count))`` formula."""
+        import os
+        import sys
+
+        designs = self._grid()
+        monkeypatch.setattr(sys, "_is_gil_enabled", lambda: True,
+                            raising=False)
+        with Simulator(cache=False) as simulator:
+            simulator.run_many(designs)
+            assert simulator.last_batch_stats.max_workers == 1
+            assert simulator.last_batch_stats.workers_used == 1
+        monkeypatch.setattr(sys, "_is_gil_enabled", lambda: False,
+                            raising=False)
+        with Simulator(cache=False) as simulator:
+            simulator.run_many(designs)
+            assert simulator.last_batch_stats.max_workers == min(
+                len(designs), max(2, os.cpu_count() or 1))
+        # Other backends keep the old default on any build.
+        monkeypatch.setattr(sys, "_is_gil_enabled", lambda: True)
+        with Simulator(cache=False, executor="inline") as simulator:
+            simulator.run_many(designs)
+            assert simulator.last_batch_stats.max_workers == min(
+                len(designs), max(2, os.cpu_count() or 1))
 
     def test_batch_spreads_across_multiple_workers(self, monkeypatch):
         """Acceptance: a batch occupies several pool workers at once.

@@ -132,6 +132,33 @@ class TestBackendEquivalence:
         assert all(result.ok for result in results)
         assert stats.workers_used == 1
 
+    def test_thread_drain_loops_run_each_task_once(self, monkeypatch):
+        """Eight loops, more than the cores, share one batch queue under
+        a tiny switch interval: every task runs exactly once and lands
+        in its own slot."""
+        counts = {}
+        lock = threading.Lock()
+        real_execute = Simulator._execute
+
+        def execute(session, design, options, *args, **kwargs):
+            with lock:
+                counts[options.frame_rate] = \
+                    counts.get(options.frame_rate, 0) + 1
+            return real_execute(session, design, options, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "_execute", execute)
+        rates = [float(rate) for rate in range(10, 74)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Simulator(executor="thread", max_workers=8,
+                           cache=False) as session:
+                results = session.run_many(_sweep_items(rates))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [result.options.frame_rate for result in results] == rates
+        assert counts == dict.fromkeys(rates, 1)
+
 
 # --- the lease-based work queue ---------------------------------------------
 

@@ -242,6 +242,56 @@ class TestDeadlines:
         assert result.elapsed_s == pytest.approx(0.2)
         assert simulator.last_batch_stats.timeouts == 1
 
+    def test_thread_deadline_is_per_task_not_per_batch(self):
+        """A 2,048-design Monte Carlo batch under a 0.5 s deadline: each
+        task is far below it, so none may time out however long the
+        whole batch takes."""
+        from repro.api.registry import build_usecase
+        from repro.robust import default_variation, perturb_design
+
+        base = build_usecase("edgaze", placement="2D-In", cis_node=65)
+        variation = default_variation()
+        designs = [perturb_design(base, variation.factors(5, sample))
+                   for sample in range(1, 2049)]
+        with Simulator(retry=RetryPolicy(max_attempts=1,
+                                         timeout_s=0.5)) as simulator:
+            results = simulator.run_many(designs)
+            assert simulator.last_batch_stats.timeouts == 0
+        assert all(result.ok for result in results)
+
+    def test_hung_thread_task_times_out_and_batch_completes(
+            self, monkeypatch):
+        """One wedged task fails typed in about ``timeout_s``; the rest
+        of the queue drains on a fresh pool instead of waiting on it."""
+        import threading
+
+        release = threading.Event()
+        real_execute = Simulator._execute
+
+        def execute(session, design, *args, **kwargs):
+            if design.name == "hung":
+                release.wait(30.0)
+            return real_execute(session, design, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "_execute", execute)
+        designs = [_named_fig5("hung")] + [_named_fig5(f"fine-{index}")
+                                           for index in range(7)]
+        try:
+            with Simulator(retry=RetryPolicy(max_attempts=1,
+                                             timeout_s=0.3)) as simulator:
+                started = time.monotonic()
+                results = simulator.run_many(designs)
+                elapsed = time.monotonic() - started
+                stats = simulator.last_batch_stats
+        finally:
+            release.set()
+        hung, rest = results[0], results[1:]
+        assert hung.error_type == "ExecutionTimeoutError"
+        assert hung.elapsed_s == pytest.approx(0.3)
+        assert all(result.ok for result in rest)
+        assert elapsed < 5.0  # far below the 30 s hang
+        assert (stats.timeouts, stats.pool_rebuilds) == (1, 1)
+
     def test_process_deadline_retires_the_hung_pool(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, json.dumps({"delay_s": 30.0}))
         reset_injector()

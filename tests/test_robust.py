@@ -16,18 +16,19 @@ import os
 import pytest
 
 from repro.api.design import Design
-from repro.api.registry import build_usecase
+from repro.api.registry import available_usecases, build_usecase
 from repro.api.simulator import Simulator
 from repro.exceptions import (ConfigurationError, SerializationError,
                               SimulationError)
 from repro.explore import explore
-from repro.robust import (CORNER_SETS, DEFAULT_METRICS, SAMPLE_AXIS,
-                          Corner, Distribution, RobustResult, RobustSpec,
-                          VariationModel, corner_from_pvt, corner_set,
-                          corners, default_variation, explore_robust,
-                          load_robust_spec, monte_carlo, perturb_design,
-                          perturb_payload, quantile, robust_spec_from_dict,
-                          sensitivity, standard_draw, worst_case)
+from repro.robust import (CORNER_SETS, DEFAULT_METRICS, PARAMETER_GROUPS,
+                          SAMPLE_AXIS, Corner, Distribution, RobustResult,
+                          RobustSpec, VariationModel, corner_from_pvt,
+                          corner_set, corners, default_variation,
+                          explore_robust, load_robust_spec, monte_carlo,
+                          perturb_design, perturb_payload, quantile,
+                          robust_spec_from_dict, sensitivity, standard_draw,
+                          worst_case)
 from repro.tech.corners import PvtPoint, standard_pvt_points
 from repro.usecases.edgaze import edgaze_space
 
@@ -184,6 +185,58 @@ class TestPerturbation:
         assert perturbed == fig5_design.to_dict()
 
 
+class TestPerturbationFastPath:
+    """``perturb_design`` scales and decodes only the system; it must
+    agree with the full payload round trip it replaces."""
+
+    @pytest.mark.parametrize("usecase", available_usecases())
+    def test_matches_full_payload_round_trip(self, usecase):
+        design = build_usecase(usecase)
+        group_sets = [(group,) for group in PARAMETER_GROUPS]
+        group_sets.append(tuple(PARAMETER_GROUPS))
+        for groups in group_sets:
+            model = VariationModel(sigma=dict.fromkeys(groups, 0.05))
+            for seed in (1, 7, 23):
+                factors = model.factors(seed, 1)
+                fast = perturb_design(design, factors)
+                slow = Design.from_dict(perturb_payload(design.to_dict(),
+                                                        factors))
+                assert fast.to_dict() == slow.to_dict(), (groups, seed)
+                assert fast.content_hash == slow.content_hash
+                # The seeded hash is the one a fresh twin computes.
+                twin = Design(fast.graph, fast.system, fast.mapping,
+                              name=fast.name)
+                assert twin.content_hash == fast.content_hash
+                assert fast.graph is design.graph
+
+    def test_unknown_group_rejected(self, fig5_design):
+        with pytest.raises(ConfigurationError, match="unknown parameter"):
+            perturb_design(fig5_design, {"memory.bogus": 1.1})
+        with pytest.raises(ConfigurationError, match="unknown parameter"):
+            perturb_design(fig5_design, {"memory.bogus": 1.0})
+
+    def test_design_without_content_hash_raises_as_before(self):
+        from repro.sw.stage import ProcessStage
+        from repro.usecases.fig5 import (FIG5_MAPPING, build_fig5_stages,
+                                         build_fig5_system)
+
+        class CustomStage(ProcessStage):
+            """A stage type the serializer does not know."""
+
+        stages = build_fig5_stages()
+        custom = CustomStage("EdgeDetection", input_size=(16, 16, 1),
+                             kernel=(3, 3, 1), stride=(1, 1, 1),
+                             padding="same")
+        custom.set_input_stage(stages[1])
+        design = Design(stages[:2] + [custom], build_fig5_system(),
+                        dict(FIG5_MAPPING))
+        with pytest.raises(SerializationError) as expected:
+            design.to_dict()
+        with pytest.raises(SerializationError) as raised:
+            perturb_design(design, {"memory.leakage_power": 1.1})
+        assert str(raised.value) == str(expected.value)
+
+
 # --- corners ---------------------------------------------------------------
 
 class TestCorners:
@@ -309,6 +362,35 @@ class TestMonteCarlo:
         with pytest.raises(ExplorationInterrupted):
             monte_carlo(fig5_design, SMALL_VARIATION, samples=5, seed=1,
                         chunk_size=2, should_stop=lambda: True)
+
+
+class TestExecutorBitIdentity:
+    """Every ensemble runner gives the same document on every local
+    executor and pool width."""
+
+    SESSIONS = {
+        "inline": {"executor": "inline"},
+        "thread-default": {},
+        "thread-4": {"executor": "thread", "max_workers": 4},
+        "process": {"executor": "process"},
+    }
+
+    def test_documents_identical_across_executors(self, edgaze_design):
+        documents = {}
+        for label, kwargs in self.SESSIONS.items():
+            with Simulator(**kwargs) as sim:
+                documents[label] = [
+                    monte_carlo(edgaze_design, SMALL_VARIATION, samples=12,
+                                seed=5, simulator=sim).to_json(),
+                    corners(edgaze_design, "pvt", simulator=sim).to_json(),
+                    sensitivity(edgaze_design, SMALL_VARIATION,
+                                simulator=sim).to_json(),
+                    worst_case(edgaze_design, SMALL_VARIATION,
+                               simulator=sim).to_json(),
+                ]
+        reference = documents.pop("inline")
+        for label, docs in documents.items():
+            assert docs == reference, label
 
 
 class TestCornersRunner:
