@@ -9,11 +9,12 @@ an in-memory dict always, plus an opt-in disk tier
 (``Simulator(cache_dir=...)`` or the ``REPRO_CACHE_DIR`` environment
 variable) that keeps results warm across processes and CLI invocations.
 
-Worker pools are created lazily on the first batch that needs one and
-reused for every batch after it — ``explore()`` over many batches pays
-pool startup once.  ``Simulator.close()`` (or using the session as a
+Worker pools (a thread pool, or the ``process`` backend's fleet of
+worker processes) are created lazily on the first batch that needs one
+and reused for every batch after it — ``explore()`` over many batches
+pays startup once.  ``Simulator.close()`` (or using the session as a
 context manager) releases the workers; a closed session stays usable
-and simply recreates its pools on demand.
+and simply recreates them on demand.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import time
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 import repro.exec  # noqa: F401  (registers the built-in executor backends)
@@ -34,18 +35,15 @@ from repro.api.result import SimOptions, SimResult
 from repro.exceptions import (CamJError, ConfigurationError,
                               SerializationError)
 from repro.exec.base import UNCACHED, SimulationExecutor, cacheable_result
+from repro.exec.local import LocalFleet
 from repro.exec.registry import resolve_executor
 from repro.resilience.faults import get_injector
-from repro.resilience.policy import RetryPolicy
+from repro.resilience.policy import RetryPolicy, classify
 from repro.sim.simulator import PassCounters, PassMemo, _simulate_graph
 
 #: One batch item: a bare design (session options apply) or an explicit
 #: ``(design, options)`` pair.
 BatchItem = Union[Design, Tuple[Design, SimOptions]]
-
-#: Back-compat aliases — the canonical homes are :mod:`repro.exec.base`.
-_UNCACHED = UNCACHED
-_cacheable = cacheable_result
 
 #: Sentinel for "no cache_dir argument given": fall back to
 #: ``REPRO_CACHE_DIR``.
@@ -75,8 +73,9 @@ class BatchStats:
     result cache reports exactly 0 because no pool is touched for it.
 
     ``retries``/``timeouts``/``pool_rebuilds``/``quarantined`` are the
-    batch's resilience events: transient-failure re-runs, per-task
-    deadline expiries, pool rebuilds after a worker death or a hung
+    batch's resilience events: transient-failure re-runs (including
+    those a worker process ran locally), per-task deadline expiries,
+    pool rebuilds and worker respawns after a worker death or a hung
     task, and designs failed with a typed
     :class:`~repro.exceptions.WorkerCrashError` after repeatedly
     killing workers.  ``lease_expiries`` counts distributed-executor
@@ -143,12 +142,13 @@ class Simulator:
         The batch execution backend: a registered name or a
         :class:`~repro.exec.SimulationExecutor` instance.  ``"thread"``
         (the default) fans batches across a thread pool; ``"process"``
-        ships each design's serialized payload to a
-        :class:`~concurrent.futures.ProcessPoolExecutor` worker, which
-        sidesteps the GIL for CPU-bound batches on multi-core machines;
-        ``"inline"`` runs sequentially in the calling thread.  Either
-        pool is created once and reused across batches; process workers
-        keep their initializer state (warmed imports) for the lifetime
+        ships each design's serialized payload to the session's local
+        worker processes, which claim it from a session-private lease
+        queue (:class:`~repro.exec.local.LocalFleet`) and sidestep the
+        GIL for CPU-bound batches on multi-core machines; ``"inline"``
+        runs sequentially in the calling thread.  The thread pool and
+        the worker fleet are created once and reused across batches,
+        so process workers keep their warmed imports for the lifetime
         of the session.  ``None`` defers to the ``REPRO_EXECUTOR``
         environment variable, falling back to ``"thread"``.  Backends
         needing construction arguments (the ``distributed`` executor
@@ -230,9 +230,7 @@ class Simulator:
         self._pass_counters = PassCounters()
         self._retry = retry if retry is not None else RetryPolicy.from_env()
         #: Session-lifetime resilience counters (sums of BatchStats).
-        self._resilience_totals = {"retries": 0, "timeouts": 0,
-                                   "pool_rebuilds": 0, "quarantined": 0,
-                                   "lease_expiries": 0}
+        self._resilience_totals = dict.fromkeys(_BatchCounters.EVENTS, 0)
         self._lock = threading.Lock()
         #: Guards pool creation/growth and submission, so a batch never
         #: submits into a pool another thread just retired by growing it.
@@ -240,8 +238,8 @@ class Simulator:
         self._terminal = False
         self._thread_pool: Optional[ThreadPoolExecutor] = None
         self._thread_pool_width = 0
-        self._process_pool: Optional[ProcessPoolExecutor] = None
-        self._process_pool_width = 0
+        #: The ``process`` backend's worker fleet (see _local_fleet).
+        self._fleet: Optional[LocalFleet] = None
         self.last_batch_stats: Optional[BatchStats] = None
 
     # --- session lifecycle ------------------------------------------------
@@ -270,13 +268,11 @@ class Simulator:
         with self._pools_lock:
             if terminal:
                 self._terminal = True
-            for pool in (self._thread_pool, self._process_pool):
+            for pool in (self._thread_pool, self._fleet):
                 if pool is not None:
                     pool.shutdown(wait=wait, cancel_futures=cancel_pending)
             self._thread_pool = None
             self._thread_pool_width = 0
-            self._process_pool = None
-            self._process_pool_width = 0
         self._executor.close(self)
 
     @property
@@ -291,7 +287,8 @@ class Simulator:
                 "executor": self._executor_kind,
                 "max_workers": self._max_workers,
                 "thread_pool_width": self._thread_pool_width,
-                "process_pool_width": self._process_pool_width,
+                "process_pool_width": (self._fleet.width
+                                       if self._fleet is not None else 0),
                 "terminal": self._terminal,
             }
 
@@ -329,7 +326,7 @@ class Simulator:
         # block on in-flight work.
         try:
             for pool in (getattr(self, "_thread_pool", None),
-                         getattr(self, "_process_pool", None)):
+                         getattr(self, "_fleet", None)):
                 if pool is not None:
                     pool.shutdown(wait=False)
         except Exception:  # pragma: no cover - interpreter teardown
@@ -369,9 +366,33 @@ class Simulator:
                 return replace(hit, cached=True)
         result = self._execute(design, options, key, attempt=attempt)
         if key is not None and self._cache_enabled \
-                and _cacheable(result):
+                and cacheable_result(result):
             self._store(key, result)
         return result
+
+    def _run_attempts(self, design: Design, options: SimOptions, *,
+                      probe_disk: bool, attempt: int = 0
+                      ) -> Tuple[SimResult, int]:
+        """One job under the session's retry policy: ``(result, retries)``.
+
+        The attempt loop of every executor mode.  Transient failures
+        re-run after the policy's backoff, whose jitter is keyed on the
+        job's content key, so every mode replays the same waits.
+        ``attempt`` is the first attempt number the fault injector
+        sees; a worker running a re-dispatched task passes its lease's.
+        """
+        policy = self._retry
+        key = self._job_key(design, options)
+        retries = 0
+        while True:
+            result = self._run_resolved(design, options, probe_disk,
+                                        attempt=attempt + retries)
+            if result.ok or result.cached \
+                    or retries + 1 >= policy.max_attempts \
+                    or not policy.retryable(classify(result.error)):
+                return result, retries
+            time.sleep(policy.backoff_s(retries, key))
+            retries += 1
 
     def _execute(self, design: Design, options: SimOptions,
                  key: Optional[Tuple[str, SimOptions]],
@@ -497,6 +518,22 @@ class Simulator:
             self._cache_hashes.add(key[0])
         if self._disk_cache is not None:
             self._disk_cache.put(key[0], key[1], result)
+
+    def _record_remote(self, key: Tuple[str, SimOptions],
+                       result: SimResult) -> None:
+        """Account one result another process executed for this session.
+
+        Counts the cache miss the job was, and publishes a cacheable
+        result to the memory tier only: the worker already wrote the
+        shared disk tier.
+        """
+        with self._lock:
+            if not self._cache_enabled:
+                return
+            self._cache_misses += 1
+            if cacheable_result(result):
+                self._cache.setdefault(key, result)
+                self._cache_hashes.add(key[0])
 
     def probe_result(self, key: Optional[Tuple[str, SimOptions]]
                      ) -> Optional[SimResult]:
@@ -738,7 +775,7 @@ class Simulator:
                     # assembly loop below runs these in-line.
                     slots.append((None, design, resolved))
                     continue
-                key = (_UNCACHED, index)
+                key = (UNCACHED, index)
             if key in unique:
                 deduplicated += 1
             else:
@@ -754,7 +791,7 @@ class Simulator:
         outcomes: Dict[Any, SimResult] = {}
         pending: Dict[Any, Tuple[Design, SimOptions]] = {}
         for key, job in unique.items():
-            if self._cache_enabled and key[0] is not _UNCACHED:
+            if self._cache_enabled and key[0] is not UNCACHED:
                 # Misses are not counted here: pending jobs re-probe (and
                 # count) inside run() on their worker.
                 hit = self._probe_cache(key, count_miss=False)
@@ -786,68 +823,70 @@ class Simulator:
             else:
                 results.append(outcomes[key])
 
+        events = {event: getattr(counters, event)
+                  for event in _BatchCounters.EVENTS}
         with self._lock:
-            self._resilience_totals["retries"] += counters.retries
-            self._resilience_totals["timeouts"] += counters.timeouts
-            self._resilience_totals["pool_rebuilds"] += \
-                counters.pool_rebuilds
-            self._resilience_totals["quarantined"] += counters.quarantined
-            self._resilience_totals["lease_expiries"] += \
-                counters.lease_expiries
+            for event, count in events.items():
+                self._resilience_totals[event] += count
         self.last_batch_stats = BatchStats(
             total=len(jobs), unique=len(jobs) - deduplicated,
             cache_hits=batch_hits,
             max_workers=max_workers,
             workers_used=len(worker_ids) + (1 if ran_inline else 0),
-            elapsed_s=time.perf_counter() - started,
-            retries=counters.retries, timeouts=counters.timeouts,
-            pool_rebuilds=counters.pool_rebuilds,
-            quarantined=counters.quarantined,
-            lease_expiries=counters.lease_expiries)
+            elapsed_s=time.perf_counter() - started, **events)
         return results
 
-    def _acquire_pool(self, kind: str, width: int):
-        """Get the persistent pool of ``kind``, growing it on demand.
+    def _acquire_pool(self, width: int) -> ThreadPoolExecutor:
+        """Get the persistent thread pool, growing it on demand.
 
         Must be called under ``_pools_lock``.  Growth replaces the pool;
         the retired one drains its in-flight work and exits without
         blocking the caller.  Pools never shrink — idle workers are
         cheap next to re-paying startup on the next wide batch.
         """
+        self._check_open()
+        pool = self._thread_pool
+        if pool is not None and self._thread_pool_width >= width:
+            return pool
+        if pool is not None:
+            pool.shutdown(wait=False)
+        pool = ThreadPoolExecutor(max_workers=width,
+                                  thread_name_prefix="repro-simulator")
+        self._thread_pool, self._thread_pool_width = pool, width
+        return pool
+
+    def _retire_pool(self, pool: ThreadPoolExecutor) -> None:
+        """Drop a wedged thread pool so the next batch creates one."""
+        with self._pools_lock:
+            if self._thread_pool is pool:
+                self._thread_pool = None
+                self._thread_pool_width = 0
+        pool.shutdown(wait=False)
+
+    def _local_fleet(self, width: int) -> LocalFleet:
+        """The ``process`` backend's worker fleet, at least ``width`` wide.
+
+        Created on the first process batch, it grows with the widest
+        batch and never shrinks; workers get this session's retry
+        policy and disk tier.
+        """
+        with self._pools_lock:
+            self._check_open()
+            if self._fleet is None:
+                disk = self._disk_cache
+                self._fleet = LocalFleet(
+                    self._retry,
+                    disk.directory if disk is not None else None,
+                    disk.max_bytes if disk is not None else None)
+            fleet = self._fleet
+        fleet.grow(width)
+        return fleet
+
+    def _check_open(self) -> None:
         if self._terminal:
             raise ConfigurationError(
                 "session was terminally closed; create a new Simulator "
                 "to run further batches")
-        if kind == "process":
-            pool, current = self._process_pool, self._process_pool_width
-        else:
-            pool, current = self._thread_pool, self._thread_pool_width
-        if pool is not None and current >= width:
-            return pool
-        if pool is not None:
-            pool.shutdown(wait=False)
-        if kind == "process":
-            from repro.exec.local import _init_worker
-            pool = ProcessPoolExecutor(max_workers=width,
-                                       initializer=_init_worker)
-            self._process_pool, self._process_pool_width = pool, width
-        else:
-            pool = ThreadPoolExecutor(
-                max_workers=width,
-                thread_name_prefix="repro-simulator")
-            self._thread_pool, self._thread_pool_width = pool, width
-        return pool
-
-    def _retire_pool(self, kind: str, pool) -> None:
-        """Drop a broken executor so the next batch recreates one."""
-        with self._pools_lock:
-            if kind == "process" and self._process_pool is pool:
-                self._process_pool = None
-                self._process_pool_width = 0
-            elif kind == "thread" and self._thread_pool is pool:
-                self._thread_pool = None
-                self._thread_pool_width = 0
-        pool.shutdown(wait=False)
 
     def _normalize_item(self, item: BatchItem,
                         options: Optional[SimOptions]
@@ -918,16 +957,14 @@ class _BatchCounters:
     lock; ``run_many`` reads them only after every worker is done.
     """
 
-    __slots__ = ("lock", "retries", "timeouts", "pool_rebuilds",
-                 "quarantined", "lease_expiries")
+    EVENTS = ("retries", "timeouts", "pool_rebuilds", "quarantined",
+              "lease_expiries")
+    __slots__ = ("lock",) + EVENTS
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
-        self.retries = 0
-        self.timeouts = 0
-        self.pool_rebuilds = 0
-        self.quarantined = 0
-        self.lease_expiries = 0
+        for event in self.EVENTS:
+            setattr(self, event, 0)
 
     def add(self, field: str, count: int = 1) -> None:
         with self.lock:

@@ -1,10 +1,12 @@
 """Pluggable execution backends for :meth:`repro.api.Simulator.run_many`.
 
-``inline``, ``thread``, and ``process`` run in (or from) the calling
-process and reproduce the pre-registry pool semantics bit-identically;
-``distributed`` shards batches across ``repro worker`` processes through
-a lease-based work queue served over HTTP (see :mod:`repro.exec.queue`
-and :mod:`repro.exec.distributed`).
+``inline`` and ``thread`` run in the calling process.  ``process`` and
+``distributed`` share one fault-tolerance mechanism, a lease-based work
+queue (:mod:`repro.exec.queue`) harvested by
+:class:`~repro.exec.distributed.LeaseExecutor`, and differ only in the
+transport: ``process`` workers are the session's own local processes
+on ``multiprocessing`` pipes, ``distributed`` workers are ``repro
+worker`` processes on HTTP.  All four produce bit-identical results.
 """
 
 from repro.exec.base import (EXECUTOR_ENV, UNCACHED, SimulationExecutor,

@@ -1,12 +1,19 @@
-"""The in-process executor backends: ``inline``, ``thread``, ``process``.
+"""The local executor backends: ``inline``, ``thread``, ``process``.
 
-These wrap what :meth:`repro.api.Simulator.run_many` used to hard-code:
-the thread-pool drain loops with per-task deadlines, and the windowed,
-self-healing process-pool runner with crash quarantine.  ``inline`` is
-the degenerate backend — sequential execution in the calling thread
-with the same retry semantics — useful for debugging, deterministic
-profiling, and as the coordinator's degraded mode when no distributed
-worker ever connects.
+``inline`` is the degenerate backend — sequential execution in the
+calling thread — useful for debugging, deterministic profiling, and
+as the coordinator's degraded mode when no distributed worker ever
+connects.  ``thread`` drains a batch on the session's persistent thread
+pool with per-task deadlines.  Both run each job through the session's
+one attempt loop (:meth:`repro.api.Simulator._run_attempts`).
+
+``process`` is the lease mechanism of :mod:`repro.exec.distributed`
+with a local transport: the session's :class:`LocalFleet` of worker
+processes, each a :class:`~repro.exec.worker.DispatchWorker` speaking
+over a ``multiprocessing`` pipe, claims from a session-private
+:class:`~repro.exec.queue.WorkQueue`.  Strikes, solo suspects and
+quarantine live only in the queue; a killed local worker is just a
+lost lease, and the fleet respawns it.
 
 All three produce bit-identical results for the same batch; only the
 parallelism (and therefore the wall clock and ``workers_used``) differs.
@@ -14,24 +21,20 @@ parallelism (and therefore the wall clock and ``workers_used``) differs.
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 import time
 from collections import deque
-from concurrent.futures import BrokenExecutor, Future
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures import FIRST_COMPLETED
-from concurrent.futures import wait as futures_wait
-from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.api.design import Design
 from repro.api.result import SimOptions, SimResult
-from repro.exceptions import ExecutionTimeoutError, WorkerCrashError
-from repro.exec.base import (UNCACHED, SimulationExecutor,
-                             cacheable_result)
-from repro.resilience.policy import QUARANTINE_THRESHOLD, classify
+from repro.exceptions import WorkerCrashError
+from repro.exec.base import UNCACHED, SimulationExecutor
+from repro.exec.distributed import LeaseExecutor, timeout_result
+from repro.exec.queue import DEFAULT_LEASE_TTL_S, WorkQueue
 
 
 class InlineExecutor(SimulationExecutor):
@@ -46,24 +49,15 @@ class InlineExecutor(SimulationExecutor):
 
     def run_pending(self, session, pending, max_workers, worker_ids,
                     counters) -> Dict[Any, SimResult]:
-        policy = session._retry
         outcomes: Dict[Any, SimResult] = {}
+        worker_ids.add(threading.get_ident())
         for key, (design, resolved) in pending.items():
-            worker_ids.add(threading.get_ident())
-            attempt = 0
-            while True:
-                result = session._run_resolved(design, resolved,
-                                               probe_disk=False,
-                                               attempt=attempt)
-                if result.ok or result.cached:
-                    break
-                if attempt + 1 >= policy.max_attempts \
-                        or not policy.retryable(classify(result.error)):
-                    break
-                counters.add("retries")
-                time.sleep(policy.backoff_s(attempt, key))
-                attempt += 1
-            outcomes[key] = result
+            # The batch already disk-probed this key; see
+            # Simulator._run_resolved.
+            outcomes[key], retries = session._run_attempts(
+                design, resolved, probe_disk=False)
+            if retries:
+                counters.add("retries", retries)
         return outcomes
 
 
@@ -92,24 +86,15 @@ class ThreadExecutor(SimulationExecutor):
                     counters) -> Dict[Any, SimResult]:
         policy = session._retry
 
-        def job(key: Any, design: Design,
-                resolved: SimOptions) -> SimResult:
+        def job(design: Design, resolved: SimOptions) -> SimResult:
             worker_ids.add(threading.get_ident())
-            attempt = 0
-            while True:
-                # The batch already disk-probed this key; see
-                # Simulator._run_resolved.
-                result = session._run_resolved(design, resolved,
-                                               probe_disk=False,
-                                               attempt=attempt)
-                if result.ok or result.cached:
-                    return result
-                if attempt + 1 >= policy.max_attempts \
-                        or not policy.retryable(classify(result.error)):
-                    return result
-                counters.add("retries")
-                time.sleep(policy.backoff_s(attempt, key))
-                attempt += 1
+            # The batch already disk-probed this key; see
+            # Simulator._run_resolved.
+            result, retries = session._run_attempts(design, resolved,
+                                                    probe_disk=False)
+            if retries:
+                counters.add("retries", retries)
+            return result
 
         futures = {key: Future() for key in pending}
         queue = deque(futures.items())
@@ -128,7 +113,7 @@ class ThreadExecutor(SimulationExecutor):
                     continue
                 started[key] = time.monotonic()
                 try:
-                    future.set_result(job(key, *pending[key]))
+                    future.set_result(job(*pending[key]))
                 except BaseException as error:
                     future.set_exception(error)
 
@@ -141,7 +126,7 @@ class ThreadExecutor(SimulationExecutor):
 
         def launch():
             with session._pools_lock:
-                pool = session._acquire_pool("thread", max_workers)
+                pool = session._acquire_pool(max_workers)
                 for _ in range(min(max_workers, len(queue))):
                     pool.submit(drain, generation[0]) \
                         .add_done_callback(abandon)
@@ -171,19 +156,13 @@ class ThreadExecutor(SimulationExecutor):
                         if begun is None:
                             continue  # queued: its deadline has not begun
                         counters.add("timeouts")
-                        design, resolved = pending[key]
-                        design_hash = key[0] if key[0] is not UNCACHED \
-                            else None
-                        outcomes[key] = SimResult(
-                            design_name=design.name, options=resolved,
-                            design_hash=design_hash,
-                            error=ExecutionTimeoutError(
-                                f"task {design.name!r} exceeded the "
-                                f"{policy.timeout_s:g}s deadline"),
-                            elapsed_s=policy.timeout_s)
+                        outcomes[key] = timeout_result(
+                            *pending[key],
+                            None if key[0] is UNCACHED else key[0],
+                            policy.timeout_s)
                         counters.add("pool_rebuilds")
                         generation[0] += 1
-                        session._retire_pool("thread", pool)
+                        session._retire_pool(pool)
                         if queue:
                             pool = launch()
                     break
@@ -194,253 +173,226 @@ class ThreadExecutor(SimulationExecutor):
         return outcomes
 
 
-class ProcessExecutor(SimulationExecutor):
-    """Fan cache-missing jobs out as serialized payloads.
+class ProcessExecutor(LeaseExecutor):
+    """Run batches on the session's :class:`LocalFleet`.
 
-    Workers live as long as the session: the pool initializer runs
-    once per worker process (not per batch), and every batch after
-    the first reuses the already-warm workers.
-
-    Submission is *windowed* — at most ``max_workers`` tasks are in
-    flight — which is what makes worker deaths survivable: when a
-    dead worker poisons the executor (``BrokenProcessPool``), the
-    suspect set is exactly the in-flight window.  The pool is
-    rebuilt, the suspects are re-queued, and a task implicated in
-    :data:`~repro.resilience.policy.QUARANTINE_THRESHOLD` pool
-    deaths is failed with a typed
-    :class:`~repro.exceptions.WorkerCrashError` result instead of
-    sinking the whole batch.  Transient failures re-queue under the
-    retry policy's backoff; a per-attempt deadline expiry retires
-    the pool (reclaiming the hung slot; the stuck worker process is
-    abandoned and exits with its task).
+    Designs travel as serialized payloads, so workers never depend on
+    pickling user-built objects.  Local workers claim one task at a
+    time, so at most ``max_workers`` tasks are in flight.  An idle
+    wake-up respawns lost workers and enforces the retry policy's
+    deadline, which runs from the claim and covers the worker's local
+    retries: the overrun task fails typed (or re-queues, when the
+    policy retries timeouts) and its worker is killed and replaced.
     """
 
     name = "process"
-    requires_serializable = True
 
     def pool_width_floor(self, session) -> int:
-        return session._process_pool_width or 0
+        return session._fleet.width if session._fleet is not None else 0
+
+    def _queue(self, session, max_workers: int) -> WorkQueue:
+        return session._local_fleet(max_workers).queue
 
     def run_pending(self, session, pending, max_workers, worker_ids,
                     counters) -> Dict[Any, SimResult]:
-        policy = session._retry
-        outcomes: Dict[Any, SimResult] = {}
-        if session._cache_enabled:
-            with session._lock:
-                session._cache_misses += len(pending)
-
-        #: Work queue entries are (key, design, options, attempt).
-        ready = deque((key, design, resolved, 0)
-                      for key, (design, resolved) in pending.items())
-        #: Backoff parking lot: (ready_at, key, design, options, attempt).
-        delayed: List[Tuple] = []
-        #: Pool deaths each key has been implicated in.
-        crashes: Dict[Any, int] = {}
-        #: future -> (key, design, options, attempt, started_at).
-        in_flight: Dict[Any, Tuple] = {}
-        #: Heal rounds that neither settled nor implicated anything —
-        #: a pool that cannot even start is not healable by rebuilding.
-        barren_rebuilds = 0
-
-        def settle(entry, pid, result) -> None:
-            key, design, resolved, attempt = entry[:4]
-            worker_ids.add(pid)
-            result = replace(result, design_hash=key[0])
-            if not result.ok and policy.retryable(classify(result.error)) \
-                    and attempt + 1 < policy.max_attempts:
-                counters.add("retries")
-                delayed.append((
-                    time.monotonic() + policy.backoff_s(attempt, key),
-                    key, design, resolved, attempt + 1))
-                return
-            if session._cache_enabled and cacheable_result(result):
-                session._store(key, result)
-            outcomes[key] = result
-
-        while ready or delayed or in_flight:
-            _promote_due(delayed, ready)
-            broken: Optional[BaseException] = None
-
-            # Fill the in-flight window from the ready queue.  A crash
-            # suspect (implicated in a previous pool death) reruns
-            # *alone* in the window: if it kills its worker again the
-            # blast radius is just itself, so innocent neighbours are
-            # never implicated twice into quarantine by riding along.
-            try:
-                with session._pools_lock:
-                    pool = session._acquire_pool("process", max_workers)
-                    solo = any(crashes.get(entry[0])
-                               for entry in in_flight.values())
-                    while ready and not solo \
-                            and len(in_flight) < max_workers:
-                        key, design, resolved, attempt = ready[0]
-                        if crashes.get(key):
-                            if in_flight:
-                                break  # wait for the window to drain
-                            solo = True
-                        future = pool.submit(
-                            _subprocess_job, design.to_dict(), resolved,
-                            attempt, key[0])
-                        ready.popleft()
-                        in_flight[future] = (key, design, resolved,
-                                             attempt, time.monotonic())
-            except BrokenExecutor as error:
-                broken = error
-
-            if broken is None and not in_flight:
-                # Everything left is waiting out a backoff delay.
-                if delayed:
-                    time.sleep(max(
-                        min(entry[0] for entry in delayed)
-                        - time.monotonic(), 0.0))
-                continue
-
-            if broken is None:
-                # Wake on the first completion — or in time to promote
-                # delayed work / expire the nearest per-attempt deadline.
-                wait_s = 0.05 if delayed else None
-                if policy.timeout_s is not None:
-                    slack = max(
-                        min(entry[4] for entry in in_flight.values())
-                        + policy.timeout_s - time.monotonic(), 0.0)
-                    wait_s = slack if wait_s is None \
-                        else min(wait_s, slack)
-                done, _ = futures_wait(set(in_flight), timeout=wait_s,
-                                       return_when=FIRST_COMPLETED)
-                for future in done:
-                    entry = in_flight.pop(future)
-                    try:
-                        pid, result = future.result()
-                    except BrokenExecutor as error:
-                        broken = error
-                        # This future's task was in flight when the
-                        # worker died: it is a suspect like the rest.
-                        in_flight[future] = entry
-                        break
-                    settle(entry, pid, result)
-                    barren_rebuilds = 0
-                if broken is None and done:
-                    continue
-                if broken is None and policy.timeout_s is not None:
-                    expired = self._expire_attempts(
-                        session, in_flight, pool, policy, counters,
-                        ready, outcomes)
-                    if expired:
-                        continue
-                if broken is None:
-                    continue
-
-            # --- heal a broken pool -----------------------------------
-            # Every in-flight future is either already failed with
-            # BrokenProcessPool or carries a result computed before the
-            # death; drain both kinds, then rebuild.
-            suspects = []
-            for future in list(in_flight):
-                entry = in_flight.pop(future)
-                try:
-                    pid, result = future.result(timeout=1.0)
-                except (BrokenExecutor, FuturesTimeoutError, OSError):
-                    suspects.append(entry)
-                    continue
-                settle(entry, pid, result)
-                barren_rebuilds = 0
-            counters.add("pool_rebuilds")
-            stale = session._process_pool
-            if stale is not None:
-                session._retire_pool("process", stale)
-            if suspects:
-                barren_rebuilds = 0
-            else:
-                barren_rebuilds += 1
-                if barren_rebuilds > 3:
-                    # Rebuilding is not helping (workers die before
-                    # taking any work): surface the infrastructure
-                    # failure instead of spinning forever.
-                    raise broken
-            for entry in suspects:
-                key, design, resolved, attempt = entry[:4]
-                count = crashes.get(key, 0) + 1
-                crashes[key] = count
-                if count >= QUARANTINE_THRESHOLD:
-                    counters.add("quarantined")
-                    outcomes[key] = SimResult(
-                        design_name=design.name, options=resolved,
-                        design_hash=key[0],
-                        error=WorkerCrashError(
-                            f"design {design.name!r} was in flight for "
-                            f"{count} worker-process deaths and is "
-                            f"quarantined"))
-                else:
-                    # Re-queue on the healed pool.  The bumped attempt
-                    # number also tells the fault injector this is a
-                    # retry, so kill_rate faults (first attempt only by
-                    # default) let recovery be measured.
-                    ready.append((key, design, resolved, attempt + 1))
+        outcomes = super().run_pending(session, pending, max_workers,
+                                       worker_ids, counters)
+        # Deaths behind this batch's last outcomes are its rebuilds too.
+        counters.add("pool_rebuilds", session._fleet.heal())
         return outcomes
 
-    def _expire_attempts(self, session, in_flight, pool, policy,
-                         counters, ready, outcomes) -> bool:
-        """Time out in-flight attempts past the per-attempt deadline.
-
-        Process mode cannot interrupt a busy worker either — but it can
-        retire the whole pool, which reclaims the hung slot for the
-        rebuilt pool while the abandoned worker process dies with its
-        task.  Non-expired in-flight futures stay harvestable: a pool
-        shutdown without cancellation lets running tasks finish.
-        """
-        now = time.monotonic()
-        expired = [future for future, entry in in_flight.items()
-                   if now - entry[4] >= policy.timeout_s]
-        if not expired:
-            return False
-        for future in expired:
-            key, design, resolved, attempt = in_flight.pop(future)[:4]
-            future.cancel()
+    def _tend(self, session, queue, unresolved, by_id, pending,
+              max_workers, worker_ids, counters):
+        fleet = session._local_fleet(max_workers)
+        respawned = fleet.heal()
+        counters.add("pool_rebuilds", respawned)
+        policy = session._retry
+        overdue = []
+        if policy.timeout_s is not None:
+            overdue = queue.expire_deadlines(
+                policy.timeout_s, unresolved,
+                policy.max_attempts if policy.retry_timeouts else 1)
+        for _, worker_id, requeued in overdue:
+            fleet.replace(worker_id)
             counters.add("timeouts")
-            if policy.retry_timeouts and attempt + 1 < policy.max_attempts:
-                counters.add("retries")
-                ready.append((key, design, resolved, attempt + 1))
-            else:
-                outcomes[key] = SimResult(
-                    design_name=design.name, options=resolved,
-                    design_hash=key[0],
-                    error=ExecutionTimeoutError(
-                        f"task {design.name!r} exceeded the "
-                        f"{policy.timeout_s:g}s per-attempt deadline"),
-                    elapsed_s=policy.timeout_s)
-        counters.add("pool_rebuilds")
-        session._retire_pool("process", pool)
-        return True
+            counters.add("retries", int(requeued))
+            counters.add("pool_rebuilds")
+        return {} if respawned or overdue else None
 
 
-def _promote_due(delayed: List[Tuple], ready: deque) -> None:
-    """Move backoff entries whose delay has elapsed onto the ready queue."""
-    now = time.monotonic()
-    due = [entry for entry in delayed if entry[0] <= now]
-    if not due:
-        return
-    delayed[:] = [entry for entry in delayed if entry[0] > now]
-    due.sort(key=lambda entry: entry[0])
-    for _, key, design, resolved, attempt in due:
-        ready.append((key, design, resolved, attempt))
+#: How long the session holds an idle worker's empty claim open.
+CLAIM_WAIT_S = 0.5
+
+#: Respawns in a row of workers that died holding no lease, with no
+#: task completed, after which the fleet gives up instead of spinning.
+BARREN_RESPAWN_LIMIT = 3
 
 
-def _init_worker() -> None:
-    """Process-pool initializer: warm each worker exactly once.
+class _LocalWorker:
+    """One worker process and the session's end of its pipe."""
 
-    Runs when a worker process starts — not per batch — and the state it
-    creates (imported engine modules, populated caches) persists for the
-    session's lifetime, which is what makes pool reuse pay off in
-    ``executor="process"`` mode.
+    def __init__(self, process, connection) -> None:
+        self.process = process
+        self.connection = connection
+        self.worker_id: Optional[str] = None
+        self.dismissed = False
+        self.struck = 0  # leases its death struck
+        self.lost = False
 
-    Fork-started workers also inherit the parent's signal plumbing.
-    Under an asyncio host (the serve daemon), that includes the event
-    loop's wakeup fd — a socketpair *shared* with the parent — so a
-    SIGTERM delivered to a worker (e.g. by the executor terminating
-    siblings while healing a crashed pool) would echo into the parent's
-    loop and be handled as the daemon's own shutdown signal.  Detach
-    the wakeup fd and restore default dispositions so signals aimed at
-    a worker stay in that worker.
+
+class LocalFleet:
+    """The ``process`` backend's worker processes and their work queue.
+
+    Each worker runs a :class:`~repro.exec.worker.DispatchWorker` on a
+    :class:`~repro.exec.worker.PipeClient`, with the session's retry
+    policy and disk tier, started by the default ``multiprocessing``
+    method (so fork-started workers inherit the fault injector).  One
+    session thread per worker serves its pipe against :attr:`queue`;
+    when the pipe closes the worker's leases are struck at once and
+    :meth:`heal` respawns it.  The queue outlives :meth:`shutdown`, so a
+    batch in flight resumes on a regrown fleet.
+    """
+
+    def __init__(self, retry, cache_dir, cache_max_bytes) -> None:
+        # Loaded here, not at import: forked workers inherit them.
+        import multiprocessing.connection  # noqa: F401
+        import repro.exec.worker  # noqa: F401
+
+        self.queue = WorkQueue(DEFAULT_LEASE_TTL_S,
+                               DEFAULT_LEASE_TTL_S / 3.0)
+        self._settings = (retry, cache_dir, cache_max_bytes)
+        self._lock = threading.Lock()
+        self._workers: List[_LocalWorker] = []
+        self._barren = 0
+
+    @property
+    def width(self) -> int:
+        return len(self._workers)
+
+    def pids(self) -> List[int]:
+        with self._lock:
+            return [worker.process.pid for worker in self._workers]
+
+    def grow(self, width: int) -> None:
+        with self._lock:
+            while len(self._workers) < width:
+                self._workers.append(self._spawn())
+
+    def heal(self) -> int:
+        """Respawn every lost worker; returns how many."""
+        with self._lock:
+            lost = [index for index, worker in enumerate(self._workers)
+                    if worker.lost]
+            for index in lost:
+                if self._workers[index].struck:
+                    self._barren = 0
+                elif self._barren == BARREN_RESPAWN_LIMIT:
+                    self._barren = 0
+                    raise WorkerCrashError(
+                        "local worker processes keep dying before "
+                        "taking any work")
+                else:
+                    self._barren += 1
+                self._workers[index] = self._spawn()
+            return len(lost)
+
+    def replace(self, worker_id: str) -> None:
+        """Kill the worker registered as ``worker_id``; start another."""
+        with self._lock:
+            for index, worker in enumerate(self._workers):
+                if worker.worker_id == worker_id:
+                    worker.process.kill()
+                    self._workers[index] = self._spawn()
+
+    def shutdown(self, wait: bool = True,
+                 cancel_futures: bool = False) -> None:
+        """Dismiss every worker after its current task, like a pool
+        shutdown; ``cancel_futures`` kills them mid-task instead."""
+        with self._lock:
+            workers, self._workers = self._workers, []
+        for worker in workers:
+            worker.dismissed = True
+            if cancel_futures:
+                worker.process.kill()
+        if wait:  # else idle workers leave at their next claim
+            self.queue.wake_claimers()
+            for worker in workers:
+                worker.process.join()
+
+    def _spawn(self) -> _LocalWorker:
+        import multiprocessing
+
+        session_end, worker_end = multiprocessing.Pipe()
+        # A forked worker inherits the session's ends of its own pipe
+        # and its siblings'; it closes them so that the session's death
+        # reaches every worker as EOF.
+        session_ends = [session_end] + [
+            worker.connection for worker in self._workers
+            if not worker.connection.closed]
+        process = multiprocessing.Process(
+            target=_worker_main,
+            args=(worker_end, session_ends, self._settings),
+            name="repro-worker", daemon=True)
+        process.start()
+        worker_end.close()  # EOF here once the worker is gone
+        worker = _LocalWorker(process, session_end)
+        threading.Thread(target=self._serve, args=(worker,),
+                         name="repro-fleet-pipe", daemon=True).start()
+        return worker
+
+    def _serve(self, worker: _LocalWorker) -> None:
+        """Answer one worker's protocol calls until it is gone."""
+        from multiprocessing.connection import wait
+
+        queue, connection = self.queue, worker.connection
+        try:
+            while connection in wait(
+                    [connection, worker.process.sentinel]):
+                action, body = connection.recv()
+                worker_id = body.get("worker_id")
+                try:
+                    if action == "claim":
+                        reply = {"tasks": None if worker.dismissed
+                                 else queue.claim(worker_id,
+                                                  body["max_tasks"],
+                                                  wait_s=CLAIM_WAIT_S)}
+                    elif action == "complete":
+                        reply = queue.complete(worker_id, body["results"])
+                        if reply["accepted"]:
+                            self._barren = 0
+                    elif action == "heartbeat":
+                        reply = queue.heartbeat(worker_id,
+                                                body["task_ids"])
+                    elif action == "register":
+                        reply = queue.register_worker(body)
+                        worker.worker_id = reply["worker_id"]
+                    else:
+                        reply = queue.deregister_worker(worker_id)
+                    connection.send((True, reply))
+                except KeyError:
+                    connection.send((False, worker_id))
+        except (EOFError, OSError):
+            pass  # the worker died mid-exchange
+        finally:
+            connection.close()
+            # Under the fleet lock, so a heal that follows the outcomes
+            # this strike produces always finds the worker lost.
+            with self._lock:
+                if worker.worker_id is not None:
+                    worker.struck = queue.lose_worker(worker.worker_id)
+                worker.lost = True
+
+
+def _worker_main(connection, session_ends, settings) -> None:
+    """Entry point of one local worker process.
+
+    Fork-started workers inherit the parent's signal plumbing.  Under
+    an asyncio host (the serve daemon), that includes the event loop's
+    wakeup fd — a socketpair *shared* with the parent — so a signal
+    delivered to a worker would echo into the parent's loop and be
+    handled as the daemon's own shutdown signal.  Detach the wakeup fd
+    and restore default dispositions so signals aimed at a worker stay
+    in that worker.
     """
     import signal
 
@@ -453,28 +405,17 @@ def _init_worker() -> None:
             signal.signal(signum, signal.SIG_DFL)
         except (ValueError, OSError):  # pragma: no cover
             pass
-    import repro.api.design  # noqa: F401  (pulls in the whole engine)
-    import repro.sim.simulator  # noqa: F401
-
-
-def _subprocess_job(payload: Dict[str, Any], options: SimOptions,
-                    attempt: int = 0,
-                    design_hash: Optional[str] = None
-                    ) -> Tuple[int, SimResult]:
-    """Worker body of the process executor: rebuild, simulate, return.
-
-    The design travels as its serialized payload (always picklable),
-    so worker processes never depend on pickling user-built objects.
-    ``attempt`` reaches the fault injector (inherited via the
-    environment), which is how retried tasks stop being re-killed;
-    ``design_hash`` travels alongside so the injector keys its
-    decisions on the same content identity in every executor mode
-    instead of degrading to the (possibly shared) design name.
-    """
+    for session_end in session_ends:
+        session_end.close()
     from repro.api.simulator import Simulator
+    from repro.exec.worker import DispatchWorker, PipeClient
 
-    design = Design.from_dict(payload)
-    key = (design_hash, options) if design_hash is not None else None
-    result = Simulator(cache=False)._execute(design, options, key,
-                                             attempt=attempt)
-    return os.getpid(), result
+    retry, cache_dir, cache_max_bytes = settings
+    simulator = Simulator(executor="inline", cache=cache_dir is not None,
+                          cache_dir=cache_dir,
+                          cache_max_bytes=cache_max_bytes, retry=retry)
+    try:
+        DispatchWorker(PipeClient(connection), simulator, batch_size=1,
+                       announce=False).run()
+    except EOFError:
+        pass  # the session is gone

@@ -22,7 +22,10 @@ Fault tolerance is the design center:
   QUARANTINE_THRESHOLD` times is *quarantined* — failed with a terminal
   outcome instead of cycling through workers forever.  Re-dispatched
   crash suspects are flagged ``solo`` and never ride in a batch with
-  innocent tasks, mirroring the process pool's solo in-flight window;
+  innocent tasks;
+* a worker known dead at once (the ``process`` backend sees its pipe
+  close) is :meth:`~WorkQueue.lose_worker`-ed: its leases take the same
+  strike without waiting out the TTL;
 * graceful deregistration (worker SIGTERM) releases held leases back to
   the front of the queue with **no** strike — an orderly goodbye is not
   evidence against the task.
@@ -30,11 +33,12 @@ Fault tolerance is the design center:
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.resilience.policy import QUARANTINE_THRESHOLD
@@ -116,9 +120,9 @@ class WorkQueue:
             heartbeat_s = _env_float(HEARTBEAT_ENV, None)
         if heartbeat_s is None:
             heartbeat_s = lease_ttl_s / 3.0
-        if lease_ttl_s <= 0:
+        if not 0 < lease_ttl_s < math.inf:  # NaN fails every comparison
             raise ConfigurationError(
-                f"lease TTL must be positive, got {lease_ttl_s}")
+                f"lease TTL must be positive and finite, got {lease_ttl_s}")
         if not 0 < heartbeat_s <= lease_ttl_s:
             raise ConfigurationError(
                 f"heartbeat interval must be in (0, lease_ttl_s], "
@@ -130,9 +134,12 @@ class WorkQueue:
         #: worker (de)registers — what the executor's harvest loop and
         #: its no-worker fallback check wait on.
         self._progress = threading.Condition(self._lock)
+        #: Signalled whenever a task becomes claimable — what a blocking
+        #: claim (``wait_s``) waits on.
+        self._work = threading.Condition(self._lock)
         self._pending: deque = deque()  # task_ids awaiting a claim
         self._tasks: Dict[str, _Task] = {}
-        #: task_id -> (worker_id, lease deadline, monotonic).
+        #: task_id -> (worker_id, lease deadline, claimed at), monotonic.
         self._leases: Dict[str, Any] = {}
         #: task_id -> terminal outcome document (collected once).
         self._outcomes: Dict[str, Dict[str, Any]] = {}
@@ -159,13 +166,15 @@ class WorkQueue:
                 self._tasks[task_id] = _Task(task_id, spec, attempt)
                 self._pending.append(task_id)
                 self._enqueued_total += 1
+            self._work.notify_all()
 
     def collect(self, task_ids) -> Dict[str, Dict[str, Any]]:
         """Pop and return the terminal outcomes available for ``task_ids``.
 
-        Each outcome is either ``{"state": "done", "worker": id,
-        "result": <SimResult dict>}`` or ``{"state": "expired",
-        "strikes": n, "attempt": k}`` for a quarantined task.
+        Each outcome is ``{"state": "done", "worker": id, "result":
+        <SimResult dict>}``, ``{"state": "expired", "strikes": n,
+        "attempt": k}`` for a quarantined task, or ``{"state":
+        "timeout", "timeout_s": t, ...}`` for a deadline overrun.
         """
         harvested: Dict[str, Dict[str, Any]] = {}
         wanted = set(task_ids)
@@ -209,22 +218,35 @@ class WorkQueue:
         return withdrawn
 
     def expire_leases(self, now: Optional[float] = None) -> int:
-        """Reclaim every lease past its deadline; returns how many.
+        """Strike every lease past its deadline; returns how many.
 
-        Each expiry strikes the task's identity and bumps its attempt;
-        under :data:`QUARANTINE_THRESHOLD` strikes the task re-enters
-        the queue front as a ``solo`` suspect, at the threshold it is
-        failed terminally.  The owning worker is marked lost — its
-        heartbeats evidently stopped.
+        The owning workers are marked lost — their heartbeats evidently
+        stopped.
         """
         now = time.monotonic() if now is None else now
-        expired = 0
+        return self._strike(lambda lease: lease[1] <= now)
+
+    def lose_worker(self, worker_id: str) -> int:
+        """Strike the leases of a worker known dead; returns how many.
+
+        The ``process`` backend calls this the moment a local worker's
+        pipe closes, instead of waiting out the lease TTL.
+        """
+        return self._strike(lambda lease: lease[0] == worker_id)
+
+    def _strike(self, lost) -> int:
+        """Reclaim every lease for which ``lost(lease)`` with a strike.
+
+        A strike marks the owning worker lost and bumps the task's
+        attempt; under :data:`QUARANTINE_THRESHOLD` strikes the task
+        re-enters the queue front as a ``solo`` suspect, at the
+        threshold it is failed terminally.
+        """
         with self._lock:
-            stale = [task_id for task_id, (_, deadline) in
-                     self._leases.items() if deadline <= now]
+            stale = [task_id for task_id, lease in self._leases.items()
+                     if lost(lease)]
             for task_id in stale:
-                worker_id, _ = self._leases.pop(task_id)
-                expired += 1
+                worker_id = self._leases.pop(task_id)[0]
                 self._expired_total += 1
                 worker = self._workers.get(worker_id)
                 if worker is not None:
@@ -242,9 +264,49 @@ class WorkQueue:
                 else:
                     task.solo = True
                     self._pending.appendleft(task_id)
-            if expired:
+            if stale:
                 self._progress.notify_all()
-        return expired
+                self._work.notify_all()
+        return len(stale)
+
+    def expire_deadlines(self, timeout_s: float, task_ids,
+                         max_attempts: int = 1
+                         ) -> List[Tuple[str, str, bool]]:
+        """Reclaim ``task_ids`` leases claimed over ``timeout_s`` ago.
+
+        An overrun is not the worker's fault, so no strike is taken: a
+        task whose next attempt stays under ``max_attempts`` re-enters
+        the queue front, the rest end ``{"state": "timeout"}``.
+        Returns ``(task_id, worker_id, requeued)`` per reclaimed lease.
+        """
+        now = time.monotonic()
+        wanted = set(task_ids)
+        reclaimed: List[Tuple[str, str, bool]] = []
+        with self._lock:
+            overdue = [task_id for task_id, lease in self._leases.items()
+                       if now - lease[2] >= timeout_s and task_id in wanted]
+            for task_id in overdue:
+                worker_id = self._leases.pop(task_id)[0]
+                task = self._tasks[task_id]
+                requeued = task.attempt + 1 < max_attempts
+                if requeued:
+                    task.attempt += 1
+                    self._pending.appendleft(task_id)
+                else:
+                    del self._tasks[task_id]
+                    self._outcomes[task_id] = {
+                        "state": "timeout", "timeout_s": timeout_s,
+                        "attempt": task.attempt, "worker": worker_id}
+                reclaimed.append((task_id, worker_id, requeued))
+            if reclaimed:
+                self._progress.notify_all()
+                self._work.notify_all()
+        return reclaimed
+
+    def wake_claimers(self) -> None:
+        """Return every blocking :meth:`claim` now."""
+        with self._lock:
+            self._work.notify_all()
 
     def wait_progress(self, timeout: float) -> None:
         """Block until something terminal happens (or ``timeout``)."""
@@ -275,14 +337,15 @@ class WorkQueue:
             if worker is None:
                 raise KeyError(worker_id)
             worker.active = False
-            held = [task_id for task_id, (owner, _) in
-                    self._leases.items() if owner == worker_id]
+            held = [task_id for task_id, lease in self._leases.items()
+                    if lease[0] == worker_id]
             for task_id in held:
                 del self._leases[task_id]
                 self._pending.appendleft(task_id)
                 released += 1
             if held:
                 self._progress.notify_all()
+                self._work.notify_all()
         return {"worker_id": worker_id, "released": released}
 
     def heartbeat(self, worker_id: str,
@@ -299,21 +362,26 @@ class WorkQueue:
                 lease = self._leases.get(task_id)
                 if lease is not None and lease[0] == worker_id:
                     self._leases[task_id] = (worker_id,
-                                             now + self.lease_ttl_s)
+                                             now + self.lease_ttl_s,
+                                             lease[2])
                     renewed += 1
         return {"worker_id": worker_id, "renewed": renewed}
 
-    def claim(self, worker_id: str, max_tasks: int = 1
-              ) -> List[Dict[str, Any]]:
+    def claim(self, worker_id: str, max_tasks: int = 1,
+              wait_s: float = 0.0) -> List[Dict[str, Any]]:
         """Lease up to ``max_tasks`` pending tasks to the worker.
 
         A ``solo`` suspect (a task already implicated in a lease
         expiry) is claimed strictly alone: it never shares a batch, so
         a repeat crash cannot strike the innocent tasks around it.
+        With ``wait_s`` an empty queue is waited on for up to that long
+        before the (possibly empty) claim returns.
         """
-        now = time.monotonic()
         claimed: List[Dict[str, Any]] = []
         with self._lock:
+            if not self._pending and wait_s > 0:
+                self._work.wait(wait_s)
+            now = time.monotonic()
             worker = self._workers.get(worker_id)
             if worker is None or not worker.active:
                 raise KeyError(worker_id)
@@ -324,7 +392,7 @@ class WorkQueue:
                     break  # suspects travel alone; stop the batch here
                 self._pending.popleft()
                 self._leases[task.task_id] = (worker_id,
-                                              now + self.lease_ttl_s)
+                                              now + self.lease_ttl_s, now)
                 worker.leased += 1
                 claimed.append(task.wire())
                 if task.solo:
@@ -338,7 +406,8 @@ class WorkQueue:
         Results for leases the worker lost (expired and re-dispatched,
         or released at deregistration) are dropped: exactly one outcome
         per task reaches the executor, whichever execution reported
-        under a valid lease first.
+        under a valid lease first.  An item's optional ``retries`` (the
+        worker's local transient re-runs) rides along in the outcome.
         """
         accepted = 0
         stale = 0
@@ -358,9 +427,11 @@ class WorkQueue:
                 del self._tasks[task_id]
                 worker.completed += 1
                 self._completed_total += 1
-                self._outcomes[task_id] = {"state": "done",
-                                           "worker": worker_id,
-                                           "result": item["result"]}
+                outcome = {"state": "done", "worker": worker_id,
+                           "result": item["result"]}
+                if item.get("retries"):
+                    outcome["retries"] = int(item["retries"])
+                self._outcomes[task_id] = outcome
                 accepted += 1
             if accepted:
                 self._progress.notify_all()

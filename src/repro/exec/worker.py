@@ -1,13 +1,17 @@
-"""The ``repro worker`` process: pulls leased tasks, executes, reports.
+"""Lease workers: pull leased tasks, execute, report.
 
-A :class:`DispatchWorker` connects to a coordinator started with
-``repro serve --dispatch`` (or ``repro dispatch``), registers itself,
-and loops: claim a task batch, execute every task through a local
+A :class:`DispatchWorker` registers with a coordinator's work queue and
+loops: claim a task batch, execute every task through a local
 :class:`~repro.api.Simulator` (sharing the concurrent-writer-safe disk
-cache tier with the coordinator and its sibling workers via
-``REPRO_CACHE_DIR``), post the results back, repeat.  A background
-thread renews the worker's leases by heartbeating at the interval the
-coordinator announced at registration.
+cache tier with the coordinator and its sibling workers), post the
+results back, repeat.  A background thread renews the worker's leases
+by heartbeating at the interval the coordinator announced at
+registration.
+
+Two transports carry the protocol calls: :class:`HttpDispatchClient`
+(``repro worker``, attached to ``repro serve --dispatch`` or ``repro
+dispatch``) and :class:`PipeClient` (the ``process`` backend's local
+workers, see :mod:`repro.exec.local`).
 
 Failure behavior:
 
@@ -25,22 +29,23 @@ Failure behavior:
 
 ``run_supervised`` implements ``repro worker --respawn``: a parent
 process that restarts the worker child whenever it dies abnormally —
-the distributed analogue of the process pool healing its workers.
+the distributed analogue of the local fleet respawning its workers.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import signal
 import subprocess
 import sys
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.design import Design
-from repro.api.result import SimOptions, SimResult
+from repro.api.result import SimOptions
 from repro.api.simulator import Simulator
-from repro.resilience.policy import classify
 from repro.serve.client import ServeClient, ServeError
 
 #: Idle poll bounds while the queue has nothing to claim.
@@ -57,21 +62,90 @@ RECONNECT_MAX_S = 5.0
 DEFAULT_BATCH_SIZE = 32
 
 
-class DispatchWorker:
-    """One pull-based worker process attached to a coordinator."""
+class _DispatchClient:
+    """The five lease-protocol calls over one request/reply :meth:`_call`.
 
-    def __init__(self, url: str, *,
+    Bodies and replies are the ``/dispatch`` endpoint documents.  An
+    unknown (or superseded) worker id raises :class:`KeyError`, as the
+    queue itself does.  ``idle_poll_s`` bounds the worker's backoff
+    between empty claims.
+    """
+
+    idle_poll_s: Tuple[float, float] = (IDLE_POLL_MIN_S, IDLE_POLL_MAX_S)
+
+    def register(self, meta: Dict[str, Any]) -> Dict[str, Any]:
+        return self._call("register", meta)
+
+    def claim(self, worker_id: str, max_tasks: int):
+        return self._call("claim", {"worker_id": worker_id,
+                                    "max_tasks": max_tasks})["tasks"]
+
+    def heartbeat(self, worker_id: str, task_ids: List[str]) -> None:
+        self._call("heartbeat", {"worker_id": worker_id,
+                                 "task_ids": task_ids})
+
+    def complete(self, worker_id: str, results: List[Dict[str, Any]]) -> int:
+        return int(self._call("complete", {"worker_id": worker_id,
+                                           "results": results})["accepted"])
+
+    def deregister(self, worker_id: str) -> None:
+        self._call("deregister", {"worker_id": worker_id})
+
+
+class HttpDispatchClient(_DispatchClient):
+    """The protocol over a coordinator's ``/dispatch`` HTTP endpoints;
+    connection failures raise :class:`OSError` and are retried."""
+
+    def __init__(self, url: str) -> None:
+        self.http = ServeClient.from_url(url)
+
+    def _call(self, action: str, body: Dict[str, Any]) -> Dict[str, Any]:
+        try:
+            return self.http._request("POST", f"/dispatch/{action}", body)
+        except ServeError as error:
+            if error.error_type == "UnknownWorker":
+                raise KeyError(body.get("worker_id")) from None
+            raise
+
+
+class PipeClient(_DispatchClient):
+    """The protocol over a ``multiprocessing`` pipe to a local session.
+
+    The session holds an empty claim open until work arrives, so the
+    worker never sleeps between claims; a ``None`` claim dismisses the
+    worker.  Any pipe failure raises :class:`EOFError`: the session is
+    gone and there is nobody to reconnect to.
+    """
+
+    idle_poll_s = (0.0, 0.0)
+
+    def __init__(self, connection) -> None:
+        self._connection = connection
+        self._lock = threading.Lock()  # the heartbeat thread shares it
+
+    def _call(self, action: str, body: Dict[str, Any]) -> Dict[str, Any]:
+        with self._lock:
+            try:
+                self._connection.send((action, body))
+                ok, reply = self._connection.recv()
+            except OSError as error:
+                raise EOFError(str(error)) from error
+        if not ok:
+            raise KeyError(reply)
+        return reply
+
+
+class DispatchWorker:
+    """One pull-based worker: claims through ``client``, executes on
+    ``simulator`` (whose retry policy and cache tiers it uses)."""
+
+    def __init__(self, client, simulator: Simulator, *,
                  batch_size: int = DEFAULT_BATCH_SIZE,
-                 cache_dir: Optional[str] = None,
-                 executor: str = "inline",
                  announce: bool = True) -> None:
-        self.client = ServeClient.from_url(url)
+        self.client = client
+        self.simulator = simulator
         self.batch_size = max(int(batch_size), 1)
         self.announce = announce
-        simulator_kwargs: Dict[str, Any] = {"executor": executor}
-        if cache_dir is not None:
-            simulator_kwargs["cache_dir"] = cache_dir
-        self.simulator = Simulator(**simulator_kwargs)
         self.worker_id: Optional[str] = None
         self.heartbeat_s = 5.0
         self._stop = threading.Event()
@@ -87,10 +161,8 @@ class DispatchWorker:
             print(f"repro worker: {message}", flush=True)
 
     def _register(self) -> None:
-        import os
-        grant = self.client._request(
-            "POST", "/dispatch/register",
-            {"pid": os.getpid(), "executor": "inline"})
+        grant = self.client.register({"pid": os.getpid(),
+                                      "executor": "inline"})
         if self.worker_id is not None:
             self._stats["reregistrations"] += 1
         self.worker_id = grant["worker_id"]
@@ -107,44 +179,17 @@ class DispatchWorker:
             with self._in_progress_lock:
                 held = list(self._in_progress)
             try:
-                self.client._request("POST", "/dispatch/heartbeat",
-                                     {"worker_id": worker_id,
-                                      "task_ids": held})
-            except (ServeError, OSError):
+                self.client.heartbeat(worker_id, held)
+            except (ServeError, OSError, KeyError):
                 # A lost beat is survivable (three are not); the main
                 # loop owns re-registration and reconnection.
                 pass
+            except EOFError:
+                return  # the coordinator is gone; so is the claim loop
 
     def stop(self) -> None:
         """Request a graceful exit after the current batch."""
         self._stop.set()
-
-    # --- task execution ---------------------------------------------------
-
-    def _execute(self, task: Dict[str, Any]) -> SimResult:
-        """Run one leased task, with local transient retries.
-
-        The coordinator's ``attempt`` is the base fed to the fault
-        injector so a task re-dispatched after a lease expiry is a
-        *retry* there (deterministic ``kill_rate`` faults spare it);
-        local transient retries stack on top.
-        """
-        design = Design.from_dict(task["design"])
-        options = SimOptions.from_dict(task["options"])
-        base_attempt = int(task.get("attempt", 0))
-        policy = self.simulator._retry
-        local_attempt = 0
-        while True:
-            result = self.simulator._run_resolved(
-                design, options, probe_disk=True,
-                attempt=base_attempt + local_attempt)
-            if result.ok or result.cached:
-                return result
-            if local_attempt + 1 >= policy.max_attempts \
-                    or not policy.retryable(classify(result.error)):
-                return result
-            time.sleep(policy.backoff_s(local_attempt, task["task_id"]))
-            local_attempt += 1
 
     # --- the pull loop ----------------------------------------------------
 
@@ -155,7 +200,8 @@ class DispatchWorker:
                                       name="repro-worker-heartbeat",
                                       daemon=True)
         heartbeats.start()
-        idle_poll = IDLE_POLL_MIN_S
+        idle_min, idle_max = self.client.idle_poll_s
+        idle_poll = idle_min
         reconnect = RECONNECT_MIN_S
         try:
             while not self._stop.is_set():
@@ -169,26 +215,24 @@ class DispatchWorker:
                         reconnect = min(reconnect * 2, RECONNECT_MAX_S)
                         continue
                 try:
-                    tasks = self.client._request(
-                        "POST", "/dispatch/claim",
-                        {"worker_id": self.worker_id,
-                         "max_tasks": self.batch_size})["tasks"]
-                except ServeError as error:
-                    if error.error_type == "UnknownWorker":
-                        self.worker_id = None  # coordinator restarted
-                        continue
-                    raise
+                    tasks = self.client.claim(self.worker_id,
+                                              self.batch_size)
+                except KeyError:
+                    self.worker_id = None  # coordinator restarted
+                    continue
                 except OSError:
                     self._stats["reconnects"] += 1
                     self._stop.wait(reconnect)
                     reconnect = min(reconnect * 2, RECONNECT_MAX_S)
                     continue
                 reconnect = RECONNECT_MIN_S
+                if tasks is None:
+                    break  # the coordinator dismissed this worker
                 if not tasks:
                     self._stop.wait(idle_poll)
-                    idle_poll = min(idle_poll * 2, IDLE_POLL_MAX_S)
+                    idle_poll = min(idle_poll * 2, idle_max)
                     continue
-                idle_poll = IDLE_POLL_MIN_S
+                idle_poll = idle_min
                 self._run_batch(tasks)
         finally:
             self._stop.set()
@@ -206,9 +250,16 @@ class DispatchWorker:
         results = []
         try:
             for task in tasks:
-                result = self._execute(task)
+                # The lease's attempt is the fault injector's base, so a
+                # task re-dispatched after a lease loss is a *retry*
+                # there (deterministic kill_rate faults spare it).
+                result, retries = self.simulator._run_attempts(
+                    Design.from_dict(task["design"]),
+                    SimOptions.from_dict(task["options"]),
+                    probe_disk=True, attempt=int(task.get("attempt", 0)))
                 results.append({"task_id": task["task_id"],
-                                "result": result.to_dict()})
+                                "result": result.to_dict(),
+                                "retries": retries})
         finally:
             # Post whatever finished even when stopping mid-batch (or
             # when one task raised): completed work must not wait for a
@@ -223,40 +274,49 @@ class DispatchWorker:
         if not results:
             return 0
         try:
-            accepted = self.client._request(
-                "POST", "/dispatch/complete",
-                {"worker_id": self.worker_id,
-                 "results": results})["accepted"]
-            return int(accepted)
-        except ServeError as error:
-            if error.error_type == "UnknownWorker":
-                # Coordinator restarted mid-batch: these leases are
-                # gone; the new incarnation will re-dispatch the tasks.
-                self.worker_id = None
-                return 0
-            raise
+            return self.client.complete(self.worker_id, results)
+        except KeyError:
+            # Coordinator restarted mid-batch: these leases are gone;
+            # the new incarnation will re-dispatch the tasks.
+            self.worker_id = None
+            return 0
         except OSError:
             # One bounded retry after a beat; then let the leases
             # expire and the tasks re-dispatch.
             self._stop.wait(min(self.heartbeat_s, 1.0))
             try:
-                accepted = self.client._request(
-                    "POST", "/dispatch/complete",
-                    {"worker_id": self.worker_id,
-                     "results": results})["accepted"]
-                return int(accepted)
-            except (ServeError, OSError):
+                return self.client.complete(self.worker_id, results)
+            except (ServeError, OSError, KeyError):
                 return 0
 
     def _deregister(self) -> None:
         if self.worker_id is None:
             return
         try:
-            self.client._request("POST", "/dispatch/deregister",
-                                 {"worker_id": self.worker_id})
+            self.client.deregister(self.worker_id)
             self._say(f"{self.worker_id} deregistered")
-        except (ServeError, OSError):
+        except (ServeError, OSError, KeyError, EOFError):
             pass  # the coordinator will expire whatever we held
+
+
+@contextlib.contextmanager
+def _signals_to(handler):
+    """Route SIGTERM and SIGINT to ``handler`` (main thread only)."""
+    installed = []
+    if threading.current_thread() is threading.main_thread():
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            try:
+                installed.append((signum, signal.signal(signum, handler)))
+            except (ValueError, OSError):
+                pass
+    try:
+        yield
+    finally:
+        for signum, previous in installed:
+            try:
+                signal.signal(signum, previous)
+            except (ValueError, OSError):
+                pass
 
 
 def run_worker(url: str, *, batch_size: int = DEFAULT_BATCH_SIZE,
@@ -267,32 +327,20 @@ def run_worker(url: str, *, batch_size: int = DEFAULT_BATCH_SIZE,
     Installs signal handlers (main thread only) that request a graceful
     stop — finish the batch, post results, deregister.
     """
-    worker = DispatchWorker(url, batch_size=batch_size,
-                            cache_dir=cache_dir, announce=announce)
-    installed = []
-    if threading.current_thread() is threading.main_thread():
-        def _graceful(signum, frame):  # noqa: ARG001
-            worker.stop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                installed.append((signum, signal.signal(signum,
-                                                        _graceful)))
-            except (ValueError, OSError):
-                pass
-    try:
+    simulator_kwargs: Dict[str, Any] = {"executor": "inline"}
+    if cache_dir is not None:
+        simulator_kwargs["cache_dir"] = cache_dir
+    worker = DispatchWorker(HttpDispatchClient(url),
+                            Simulator(**simulator_kwargs),
+                            batch_size=batch_size, announce=announce)
+    with _signals_to(lambda signum, frame: worker.stop()):
         return worker.run()
-    finally:
-        for signum, previous in installed:
-            try:
-                signal.signal(signum, previous)
-            except (ValueError, OSError):
-                pass
 
 
 def run_supervised(argv: List[str], announce: bool = True) -> int:
     """``repro worker --respawn``: restart the child when it dies badly.
 
-    Remote workers have no pool above them to heal a crash (injected
+    Remote workers have no session above them to heal a crash (injected
     ``REPRO_FAULTS`` kills included), so the supervisor is that layer:
     a child exiting non-zero is relaunched after a short pause; a clean
     exit (graceful SIGTERM path) ends the loop.  SIGTERM to the
@@ -309,16 +357,8 @@ def run_supervised(argv: List[str], announce: bool = True) -> int:
         if current is not None and current.poll() is None:
             current.terminate()
 
-    installed = []
-    if threading.current_thread() is threading.main_thread():
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                installed.append((signum, signal.signal(signum,
-                                                        _forward)))
-            except (ValueError, OSError):
-                pass
     respawns = 0
-    try:
+    with _signals_to(_forward):
         while True:
             child[0] = subprocess.Popen(command)
             code = child[0].wait()
@@ -330,9 +370,3 @@ def run_supervised(argv: List[str], announce: bool = True) -> int:
                       f"respawn #{respawns}", flush=True)
             if stopping.wait(0.2):
                 return 0
-    finally:
-        for signum, previous in installed:
-            try:
-                signal.signal(signum, previous)
-            except (ValueError, OSError):
-                pass

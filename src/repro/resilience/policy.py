@@ -1,11 +1,11 @@
 """Failure classification and retry/timeout/backoff policy.
 
 Every execution layer — :meth:`repro.api.Simulator.run_many` workers,
-the healed process-pool runner, the serve daemon's job queue — shares
-one vocabulary for "what kind of failure is this and what may we do
-about it": a typed :class:`FailureClass` assigned by :func:`classify`,
-and a :class:`RetryPolicy` that turns attempt numbers into capped,
-jittered backoff delays.
+the lease queue's local and remote workers, the serve daemon's job
+queue — shares one vocabulary for "what kind of failure is this and
+what may we do about it": a typed :class:`FailureClass` assigned by
+:func:`classify`, and a :class:`RetryPolicy` that turns attempt numbers
+into capped, jittered backoff delays.
 
 Jitter is deterministic: it is derived from the policy seed, the task
 key, and the attempt number, never from ambient randomness, so a run
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import math
 import os
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, replace
@@ -25,8 +26,9 @@ from repro.exceptions import (CamJError, ConfigurationError,
                               ExecutionTimeoutError, LeaseExpiredError,
                               TransientSimError, WorkerCrashError)
 
-#: How many pool deaths one task may be implicated in before it is
-#: quarantined as a :class:`repro.exceptions.WorkerCrashError` result.
+#: How many lost leases (worker deaths) one task may be implicated in
+#: before it is quarantined as a :class:`repro.exceptions.WorkerCrashError`
+#: result.
 QUARANTINE_THRESHOLD = 2
 
 #: Environment knobs the default policy honors (all optional).
@@ -93,11 +95,12 @@ class RetryPolicy:
         ``base * 2**k`` seconds, capped at ``max_delay_s``, plus
         deterministic jitter of up to ``jitter`` of the delay.
     ``timeout_s``
-        Per-task deadline; ``None`` disables deadlines.  In process
-        mode the deadline covers one attempt (the worker can be
-        reclaimed); in thread mode it covers the whole task, retries
-        included, from the moment the task starts running, since a
-        running thread cannot be interrupted.
+        Per-task deadline; ``None`` disables deadlines.  It covers the
+        whole task, local retries included, from the moment the task
+        starts running (thread mode) or is claimed by a worker process
+        (process mode).  An overrun thread cannot be interrupted, so
+        its pool is retired; an overrun worker process is killed and
+        replaced.
     ``retry_timeouts``
         Whether a deadline expiry is retried like a transient failure.
     ``seed``
@@ -116,14 +119,20 @@ class RetryPolicy:
         if self.max_attempts < 1:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_delay_s < 0 or self.max_delay_s < 0:
-            raise ConfigurationError("backoff delays must be >= 0")
+        # Written so that NaN, which fails every comparison, fails too.
+        if not (0 <= self.base_delay_s < math.inf
+                and 0 <= self.max_delay_s < math.inf):
+            raise ConfigurationError(
+                f"backoff delays must be finite and >= 0, got "
+                f"{self.base_delay_s} and {self.max_delay_s}")
         if not 0 <= self.jitter <= 1:
             raise ConfigurationError(
                 f"jitter must be within [0, 1], got {self.jitter}")
-        if self.timeout_s is not None and self.timeout_s <= 0:
+        if self.timeout_s is not None \
+                and not 0 < self.timeout_s < math.inf:
             raise ConfigurationError(
-                f"timeout_s must be positive or None, got {self.timeout_s}")
+                f"timeout_s must be positive and finite or None, "
+                f"got {self.timeout_s}")
 
     def replace(self, **changes: Any) -> "RetryPolicy":
         """A copy with some fields changed."""

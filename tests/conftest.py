@@ -46,6 +46,74 @@ def _no_ambient_chaos(monkeypatch):
     reset_injector()
 
 
+class _InProcessDispatchClient:
+    """The lease protocol straight onto a work queue, for a worker
+    thread sharing the coordinator's process."""
+
+    idle_poll_s = (0.001, 0.01)
+
+    def __init__(self, queue):
+        self.queue = queue
+
+    def register(self, meta):
+        return self.queue.register_worker(meta)
+
+    def claim(self, worker_id, max_tasks):
+        return self.queue.claim(worker_id, max_tasks)
+
+    def heartbeat(self, worker_id, task_ids):
+        self.queue.heartbeat(worker_id, task_ids)
+
+    def complete(self, worker_id, results):
+        return self.queue.complete(worker_id, results)["accepted"]
+
+    def deregister(self, worker_id):
+        self.queue.deregister_worker(worker_id)
+
+
+@pytest.fixture
+def backend_session():
+    """Factory of sessions on a named executor backend.
+
+    ``"distributed"`` sessions get a fresh work queue served by one
+    in-process :class:`~repro.exec.worker.DispatchWorker` thread whose
+    simulator uses the session's retry policy.  Everything opened is
+    closed (and the worker stopped) at teardown.
+    """
+    import threading
+
+    from repro.api import Simulator
+    from repro.exec.distributed import DistributedExecutor
+    from repro.exec.queue import WorkQueue
+    from repro.exec.worker import DispatchWorker
+
+    opened = []
+
+    def make(backend, **kwargs):
+        if backend != "distributed":
+            session = Simulator(executor=backend, **kwargs)
+            opened.append((session, None, None))
+            return session
+        queue = WorkQueue(lease_ttl_s=30.0)
+        worker = DispatchWorker(
+            _InProcessDispatchClient(queue),
+            Simulator(executor="inline", cache=False,
+                      retry=kwargs.get("retry")),
+            announce=False)
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        session = Simulator(executor=DistributedExecutor(queue), **kwargs)
+        opened.append((session, worker, thread))
+        return session
+
+    yield make
+    for session, worker, thread in opened:
+        session.close()
+        if worker is not None:
+            worker.stop()
+            thread.join(timeout=30.0)
+
+
 @pytest.fixture
 def fig5_stages():
     return build_fig5_stages()

@@ -1,6 +1,7 @@
 """Tests for the first-class session API (Design / Simulator / specs)."""
 
 import json
+import os
 
 import pytest
 
@@ -441,25 +442,19 @@ class TestSessionPools:
         assert simulator._thread_pool is None  # warm batch: no pool
 
     def test_broken_process_pool_is_healed_within_the_batch(self):
-        """A dead worker is healed in place: the batch still completes."""
-        import os as os_module
-
-        from concurrent.futures import BrokenExecutor
+        """A SIGKILLed worker is respawned: the next batch completes."""
+        import signal
 
         designs = [build_fig5_design()]
         with Simulator(cache=False, executor="process",
                        max_workers=1) as simulator:
             assert all(r.ok for r in simulator.run_many(designs))
-            poisoned = simulator._process_pool
-            # Kill the worker out from under the executor.
-            with pytest.raises(BrokenExecutor):
-                poisoned.submit(os_module._exit, 1).result()
-            # The next batch inherits the corpse — and heals it: the
-            # pool is rebuilt mid-batch and the jobs still complete.
+            [victim] = simulator._fleet.pids()
+            os.kill(victim, signal.SIGKILL)
             results = simulator.run_many(designs)
             assert all(r.ok for r in results)
             assert simulator.last_batch_stats.pool_rebuilds >= 1
-            assert simulator._process_pool is not poisoned
+            assert victim not in simulator._fleet.pids()
 
     def test_process_pool_reused_across_batches(self):
         with Simulator(cache=False, executor="process",
@@ -467,11 +462,16 @@ class TestSessionPools:
             designs = [build_fig5_design(),
                        build_rhythmic(UseCaseConfig("2D-In", 65))]
             assert all(r.ok for r in simulator.run_many(designs))
-            first = simulator._process_pool
-            assert first is not None
+            first = simulator._fleet.pids()
+            assert len(first) == 2
             assert all(r.ok for r in simulator.run_many(designs))
-            assert simulator._process_pool is first
-        assert simulator._process_pool is None
+            assert simulator._fleet.pids() == first
+        # close() joined every worker: none is left, not even a zombie.
+        assert simulator._fleet.pids() == []
+        assert simulator.pool_info()["process_pool_width"] == 0
+        for pid in first:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestBatchLocalHitCounts:

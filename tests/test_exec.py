@@ -98,6 +98,18 @@ class TestExecutorRegistry:
         with Simulator(cache=False) as session:
             assert session.pool_info()["executor"] == "inline"
 
+    def test_import_leaves_worker_modules_unloaded(self):
+        """Worker-side modules load on the first process batch, not on
+        ``import repro``."""
+        code = ("import sys, repro, repro.api; "
+                "print(sorted(m for m in sys.modules "
+                "if m in ('repro.exec.worker', 'repro.serve.client')))")
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        output = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True,
+                                check=True).stdout
+        assert output.strip() == "[]"
+
     def test_executor_info_describes_backend(self):
         with Simulator(executor="inline", cache=False) as session:
             doc = session.executor_info()
@@ -108,22 +120,34 @@ class TestExecutorRegistry:
 # --- backend equivalence ----------------------------------------------------
 
 class TestBackendEquivalence:
-    def test_inline_thread_process_bit_identical(self):
-        """The same batch through all three local backends, compared as
-        serialized documents: the refactor must not perturb results."""
+    def test_inline_thread_process_bit_identical(self, backend_session):
+        """The same batch and the same exploration through every
+        backend (``distributed`` with one in-process worker), compared
+        as serialized documents: no backend may perturb results."""
+        from repro.explore import choice, explore
+
         items = _sweep_items([24.0, 30.0, 60.0])
         documents = {}
-        for backend in ("inline", "thread", "process"):
-            with Simulator(executor=backend, cache=False) as session:
-                results = session.run_many(items)
+        explorations = {}
+        for backend in ("inline", "thread", "process", "distributed"):
+            session = backend_session(backend, cache=False)
+            results = session.run_many(items)
             for result in results:
                 assert result.ok, f"{backend}: {result.failure}"
             documents[backend] = [
                 {key: value for key, value in result.to_dict().items()
                  if key != "elapsed_s"}  # wall clock is not a result
                 for result in results]
-        assert documents["inline"] == documents["thread"]
-        assert documents["inline"] == documents["process"]
+            explorations[backend] = json.dumps(explore(
+                choice("options.frame_rate", [15.0, 30.0, 1e7]),
+                build_fig5_design, objectives=["energy_per_frame"],
+                engine="object", simulator=session).to_dict(),
+                sort_keys=True)
+        for backend in ("thread", "process", "distributed"):
+            assert documents[backend] == documents["inline"], backend
+            assert explorations[backend] == explorations["inline"], \
+                backend
+        assert '"feasible": false' in explorations["inline"]
 
     def test_inline_runs_on_the_calling_thread(self):
         with Simulator(executor="inline", cache=False) as session:
@@ -158,6 +182,19 @@ class TestBackendEquivalence:
             sys.setswitchinterval(interval)
         assert [result.options.frame_rate for result in results] == rates
         assert counts == dict.fromkeys(rates, 1)
+
+    def test_process_fleet_completes_each_task_once(self):
+        """Four local workers, more than the cores, share one session
+        queue: every task completes exactly once, in its own slot."""
+        rates = [float(rate) for rate in range(10, 74)]
+        with Simulator(executor="process", max_workers=4,
+                       cache=False) as session:
+            results = session.run_many(_sweep_items(rates))
+            queue = session._fleet.queue.describe()
+        assert [result.options.frame_rate for result in results] == rates
+        assert all(result.ok for result in results)
+        assert queue["enqueued_total"] == queue["completed_total"] \
+            == len(rates)
 
 
 # --- the lease-based work queue ---------------------------------------------
@@ -300,6 +337,15 @@ class TestWorkQueue:
             WorkQueue(lease_ttl_s=-1.0)
         with pytest.raises(ConfigurationError):
             WorkQueue(lease_ttl_s=1.0, heartbeat_s=2.0)
+        # An infinite TTL would overflow every worker's heartbeat wait.
+        for value in ("inf", "nan"):
+            monkeypatch.setenv("REPRO_LEASE_TTL_S", value)
+            with pytest.raises(ConfigurationError):
+                WorkQueue()
+        monkeypatch.delenv("REPRO_LEASE_TTL_S")
+        monkeypatch.setenv("REPRO_HEARTBEAT_S", "nan")
+        with pytest.raises(ConfigurationError):
+            WorkQueue()
 
     def test_withdraw_skips_leased_tasks(self):
         queue = WorkQueue(lease_ttl_s=10.0)

@@ -1,8 +1,11 @@
 """Golden-number regression guard.
 
-The headline quantities of EXPERIMENTS.md, pinned with tolerances.  A
-model change that silently shifts a reproduced result beyond its band
-fails here before it corrupts the documented record.
+The headline quantities this repository reproduces from the paper
+named in PAPER.md, pinned with tolerances: the Fig. 5 running example,
+the Fig. 7 nine-chip validation, the Fig. 9 Rhythmic Pixel Regions and
+Ed-Gaze grids, and the Fig. 11 mixed-signal comparison.  A model change
+that silently shifts a reproduced result beyond its band fails here
+before it corrupts the documented record.
 """
 
 import pytest

@@ -145,7 +145,18 @@ class TestFaultPlan:
         assert injector.plan.transient_rate == 0.25
         assert injector.active
 
-    def test_bad_configurations_are_typed_errors(self):
+    def test_bad_configurations_are_typed_errors(self, monkeypatch):
+        for variable in (TASK_TIMEOUT_ENV, RETRY_BASE_DELAY_ENV):
+            for value in ("nan", "inf", "-inf"):
+                with pytest.raises(ConfigurationError):
+                    RetryPolicy.from_env({variable: value})
+        # Every comparison with NaN is false: it must not slip through
+        # as "no deadline" on any backend.
+        monkeypatch.setenv(TASK_TIMEOUT_ENV, "nan")
+        for backend in ("inline", "thread", "process"):
+            with pytest.raises(ConfigurationError):
+                Simulator(executor=backend)
+        monkeypatch.delenv(TASK_TIMEOUT_ENV)
         with pytest.raises(ConfigurationError):
             FaultPlan.from_env({FAULTS_ENV: "{not json"})
         with pytest.raises(ConfigurationError):
@@ -198,10 +209,15 @@ class TestFaultPlan:
 # --- task hardening in Simulator.run_many -----------------------------------
 
 class TestThreadRetries:
-    def test_transient_failures_retry_to_success(self):
+    @pytest.mark.parametrize("backend",
+                             ["thread", "process", "distributed"])
+    def test_transient_failures_retry_to_success(self, backend,
+                                                 backend_session):
+        """Retries reach BatchStats wherever they run — in the
+        session's threads or inside a worker process."""
         reset_injector(FaultPlan(transient_rate=1.0))
-        simulator = Simulator(retry=RetryPolicy(max_attempts=3,
-                                                base_delay_s=0.0))
+        simulator = backend_session(
+            backend, retry=RetryPolicy(max_attempts=3, base_delay_s=0.0))
         results = simulator.run_many([_named_fig5("rt-a"),
                                       _named_fig5("rt-b")])
         assert all(result.ok for result in results)
