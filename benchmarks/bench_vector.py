@@ -79,9 +79,9 @@ def test_vector_throughput(benchmark, write_result, write_bench_json,
     space = _space(bench_smoke)
     points = len(space)
 
-    # Warm imports, usecase builders, and the design-lowering cache so
-    # the cold passes time the engine, not one-time module setup (the
-    # committed baseline was likewise measured in a warm process).
+    # Warm imports and usecase builders so the cold passes time the
+    # engine, not one-time module setup (the committed baseline was
+    # likewise measured in a warm process).
     explore(_subsample_space(True), "edgaze", objectives=_OBJECTIVES)
 
     cold_runs = []

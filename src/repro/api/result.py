@@ -11,6 +11,7 @@ typed failure, so batch consumers (sweeps, the CLI) no longer hand-roll
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
@@ -55,9 +56,10 @@ class SimOptions:
                 or not isinstance(self.skip_checks, bool):
             raise ConfigurationError(
                 "cycle_accurate and skip_checks must be booleans")
-        if self.frame_rate <= 0:
+        if not 0 < self.frame_rate < math.inf:
             raise ConfigurationError(
-                f"frame rate must be positive, got {self.frame_rate}")
+                f"frame rate must be positive and finite, "
+                f"got {self.frame_rate}")
         if self.exposure_slots < 1:
             raise ConfigurationError(
                 f"exposure slots must be >= 1, got {self.exposure_slots}")

@@ -6,16 +6,22 @@ macros approximate the digital area.  For a 2D design both shares sit on
 one die; for a stacked design each layer's density is its own power over
 its own area, and the reported chip density is the maximum across layers
 (the thermal-relevant hotspot bound).
+
+The power-density body runs on one report's float energies or, for the
+explore fast path, on per-point energy and frame-rate columns; both go
+through the same arithmetic, so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from functools import reduce
+from typing import Any, Dict
 
 from repro import units
+from repro.columns import maximum
 from repro.exceptions import ConfigurationError
-from repro.energy.report import EnergyReport
+from repro.energy.report import Category, EnergyReport
 from repro.hw.chip import SensorSystem
 from repro.hw.layer import OFF_CHIP
 
@@ -61,7 +67,6 @@ def estimate_area(system: SensorSystem) -> AreaBreakdown:
 
 
 def _is_comm_entry(entry) -> bool:
-    from repro.energy.report import Category
     return entry.category in (Category.MIPI, Category.UTSV)
 
 
@@ -73,15 +78,32 @@ def layer_power_density(system: SensorSystem, report: EnergyReport,
     matching Table 3's on-die accounting; pass ``include_comm=True`` to
     fold the transmitter power back in.
     """
-    areas = estimate_area(system)
+    return _layer_densities(system, estimate_area(system), report.entries,
+                            report.frame_rate, include_comm)
+
+
+def power_density(system: SensorSystem, report: EnergyReport,
+                  include_comm: bool = False) -> float:
+    """Chip power density: on-chip power over area.
+
+    2D designs divide total on-chip power by the single die area; stacked
+    designs report the maximum per-layer density (the hotspot bound the
+    thermal argument of Sec. 6.2 cares about).
+    """
+    return _power_density(system, report.entries, report.frame_rate,
+                          include_comm)
+
+
+def _layer_densities(system: SensorSystem, areas: AreaBreakdown, entries,
+                     frame_rate, include_comm: bool) -> Dict[str, Any]:
     power_by_layer = {}
-    for entry in report.entries:
+    for entry in entries:
         if entry.layer == OFF_CHIP:
             continue
         if not include_comm and _is_comm_entry(entry):
             continue
         power_by_layer[entry.layer] = (power_by_layer.get(entry.layer, 0.0)
-                                       + entry.energy * report.frame_rate)
+                                       + entry.energy * frame_rate)
     densities = {}
     # In a stacked design every die shares the chip footprint, so each
     # layer's density is its power over the footprint; in a 2D design the
@@ -96,82 +118,25 @@ def layer_power_density(system: SensorSystem, report: EnergyReport,
     return densities
 
 
-def power_density(system: SensorSystem, report: EnergyReport,
-                  include_comm: bool = False) -> float:
-    """Chip power density: on-chip power over area.
-
-    2D designs divide total on-chip power by the single die area; stacked
-    designs report the maximum per-layer density (the hotspot bound the
-    thermal argument of Sec. 6.2 cares about).
-    """
-    densities = layer_power_density(system, report,
-                                    include_comm=include_comm)
+def _power_density(system: SensorSystem, entries, frame_rate,
+                   include_comm: bool):
+    """:func:`power_density` over entries and a frame rate that may be
+    per-point columns.  The no-on-chip-area error depends only on the
+    design, so a column batch fails as a whole, as each point would."""
+    areas = estimate_area(system)
+    densities = _layer_densities(system, areas, entries, frame_rate,
+                                 include_comm)
     if not densities:
         raise ConfigurationError(
             f"system {system.name!r} has no on-chip area to compute a "
             f"power density over; set pixel geometry or memory areas")
     if system.is_stacked:
-        return max(densities.values())
-    areas = estimate_area(system)
-    total_area = areas.total
-    total_power = sum(entry.energy * report.frame_rate
-                      for entry in report.entries
+        return reduce(maximum, densities.values())
+    total_power = sum(entry.energy * frame_rate
+                      for entry in entries
                       if entry.layer != OFF_CHIP
                       and (include_comm or not _is_comm_entry(entry)))
-    return total_power / total_area
-
-
-def power_density_batch(system: SensorSystem, entries, frame_rate,
-                        include_comm: bool = False):
-    """Vector mirror of :func:`power_density` over energy columns.
-
-    ``entries`` are ``VectorEntry`` columns (per-point energy vectors or
-    design-constant floats) and ``frame_rate`` is the per-point frame
-    rate vector; the fold orders and division sequence replicate the
-    scalar functions exactly, so each element is bit-identical to the
-    scalar density of that point.  The no-on-chip-area
-    :class:`ConfigurationError` depends only on the design and is raised
-    (not masked) for the whole batch, mirroring every scalar point
-    failing the same way.
-    """
-    import numpy as np
-
-    areas = estimate_area(system)
-    power_by_layer = {}
-    for entry in entries:
-        if entry.layer == OFF_CHIP:
-            continue
-        if not include_comm and _is_comm_entry(entry):
-            continue
-        power_by_layer[entry.layer] = (power_by_layer.get(entry.layer, 0.0)
-                                       + entry.energy * frame_rate)
-    densities = {}
-    footprint = areas.footprint if system.is_stacked else None
-    for layer_name, power in power_by_layer.items():
-        area = footprint if footprint else areas.by_layer.get(layer_name,
-                                                              0.0)
-        if area <= 0:
-            continue
-        densities[layer_name] = power / area
-    if not densities:
-        raise ConfigurationError(
-            f"system {system.name!r} has no on-chip area to compute a "
-            f"power density over; set pixel geometry or memory areas")
-    if system.is_stacked:
-        # max() over per-layer vectors, element-wise; np.maximum is a
-        # selection (never rounds), so ties and order match the scalar
-        # max() bit-for-bit.
-        best = None
-        for value in densities.values():
-            best = value if best is None else np.maximum(best, value)
-        return best
-    total_area = areas.total
-    total_power = 0
-    for entry in entries:
-        if entry.layer != OFF_CHIP \
-                and (include_comm or not _is_comm_entry(entry)):
-            total_power = total_power + entry.energy * frame_rate
-    return total_power / total_area
+    return total_power / areas.total
 
 
 def format_density(density: float) -> str:

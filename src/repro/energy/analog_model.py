@@ -17,7 +17,7 @@ if TYPE_CHECKING:  # avoid a runtime cycle with repro.sim
     from repro.sim.mapping import Mapping
 
 from repro.exceptions import SimulationError
-from repro.energy.report import Category, EnergyEntry, VectorEntry
+from repro.energy.report import Category, EnergyEntry
 from repro.hw.analog.array import AnalogArray
 from repro.hw.chip import SensorSystem
 from repro.sw.dag import StageGraph
@@ -115,8 +115,20 @@ def analog_energy(graph: StageGraph, system: SensorSystem, mapping: Mapping,
                   resolved: Optional[Dict[str, object]] = None
                   ) -> List[EnergyEntry]:
     """Per-component analog energy entries for one frame (Eq. 2)."""
+    return usage_energy(analog_usage(graph, system, mapping,
+                                     resolved=resolved),
+                        analog_stage_delay)
+
+
+def usage_energy(usages: List[ArrayUsage], analog_stage_delay
+                 ) -> List[EnergyEntry]:
+    """Per-component analog energy entries of precomputed array usages.
+
+    ``analog_stage_delay`` is a float, or a per-point column on the
+    explore fast path; each entry's energy takes the same shape.
+    """
     entries: List[EnergyEntry] = []
-    for usage in analog_usage(graph, system, mapping, resolved=resolved):
+    for usage in usages:
         array = usage.array
         if usage.ops <= 0:
             continue
@@ -146,32 +158,3 @@ def _output_volume(array: AnalogArray) -> float:
     components = array.components
     last = components[-1][0]
     return float(last.output_volume)
-
-
-def analog_energy_batch(usages: List[ArrayUsage], analog_stage_delay,
-                        breakdowns) -> list:
-    """Vector mirror of :func:`analog_energy` over precomputed usages.
-
-    ``analog_stage_delay`` is a per-point delay vector; ``breakdowns``
-    aligns with ``usages`` and carries each array's lowered
-    ``energy_breakdown`` kernel (see :mod:`repro.hw.analog.vector`;
-    ``None`` for arrays the scalar path skips because ``ops <= 0``).
-    Emits :class:`VectorEntry` columns in exactly the scalar model's
-    entry order, with per-element energies bit-identical to the scalar
-    entries.
-    """
-    entries = []
-    for usage, breakdown_kernel in zip(usages, breakdowns):
-        array = usage.array
-        if usage.ops <= 0:
-            continue
-        category = _CATEGORY_BY_ARRAY[array.category]
-        breakdown = breakdown_kernel(usage.ops, analog_stage_delay)
-        for component_name, energy in breakdown.items():
-            entries.append(VectorEntry(
-                name=f"{array.name}/{component_name}",
-                category=category,
-                layer=array.layer,
-                energy=energy,
-                stage=usage.stage_name))
-    return entries

@@ -4,6 +4,11 @@ Entries are tagged with the categories the paper's figures roll up to:
 ``SEN`` (pixel sensing and A/D conversion), analog compute/memory
 (``COMP-A``/``MEM-A``), digital compute/memory (``COMP-D``/``MEM-D``), and
 the two communication interfaces (``MIPI``/``uTSV``).
+
+The energy models return these same :class:`EnergyEntry` values on the
+explore fast path, where an option-dependent energy is a NumPy column
+with one element per explored point; :class:`EnergyReport` itself always
+holds one point's floats.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro import units
+from repro.columns import any_true
 from repro.exceptions import ConfigurationError
 
 
@@ -33,31 +39,11 @@ class Category(enum.Enum):
 
 @dataclass(frozen=True)
 class EnergyEntry:
-    """Energy attributed to one hardware component."""
+    """Energy attributed to one hardware component.
 
-    name: str
-    category: Category
-    layer: str
-    energy: float
-    stage: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.energy < 0:
-            raise ConfigurationError(
-                f"energy entry {self.name!r}: energy must be non-negative, "
-                f"got {self.energy}")
-
-
-@dataclass(frozen=True)
-class VectorEntry:
-    """Column-oriented :class:`EnergyEntry`: one component across a batch.
-
-    ``energy`` is either a NumPy array (one element per explored point)
-    or a plain float for components whose energy does not depend on the
-    swept options; arithmetic broadcasts either way.  Produced by the
-    batch energy models (``analog_energy_batch`` et al.) and consumed by
-    the vectorized explore path, which materializes per-point
-    :class:`EnergyEntry` rows from it on demand.
+    ``energy`` is a float, or on the explore fast path a NumPy column
+    with one element per explored point (a design-constant energy stays
+    a float there too).
     """
 
     name: str
@@ -65,6 +51,12 @@ class VectorEntry:
     layer: str
     energy: Any
     stage: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if any_true(self.energy < 0):
+            raise ConfigurationError(
+                f"energy entry {self.name!r}: energy must be non-negative, "
+                f"got {self.energy}")
 
 
 @dataclass

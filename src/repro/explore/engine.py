@@ -494,10 +494,10 @@ def explore(space: ParameterSpace,
         (:mod:`repro.explore.vector`) — bit-identical results, orders
         of magnitude faster — and everything else through the object
         path.  ``"vector"`` vectorizes every group it can (any size)
-        and raises :class:`ConfigurationError` when the objectives (or
-        a missing numpy) make vectorization impossible; unsupported
-        *designs* still fall back per group.  ``"object"`` forces
-        today's per-point path for everything.
+        and raises :class:`ConfigurationError` when the objectives
+        make vectorization impossible; unsupported *designs* still
+        fall back per group.  ``"object"`` forces today's per-point
+        path for everything.
 
     Builder failures, simulation failures (timing, stalls), and metric
     extraction failures are all :class:`CamJError`-typed infeasible
@@ -768,8 +768,8 @@ def _run_vector_groups(slots, simulator: Simulator,
     collapses option-only sweeps onto one object) and hands each
     large-enough group to :func:`repro.explore.vector.evaluate_group`.
     Returns the points it produced keyed by slot index, plus the
-    number of them served from the result cache.  Any group the
-    lowering rejects (:class:`VectorUnsupported`) is silently left for
+    number of them served from the result cache.  Any group the type
+    screen rejects (:class:`VectorUnsupported`) is silently left for
     the object path — under ``engine="auto"`` that is the contract;
     under ``engine="vector"`` unsupported *objectives* were already
     rejected up front, and design-level rejections still degrade
@@ -777,8 +777,7 @@ def _run_vector_groups(slots, simulator: Simulator,
     """
     from repro.explore import vector as vector_mod
 
-    if not vector_mod.numpy_available() \
-            or vector_mod.vector_support_error(objectives) is not None:
+    if vector_mod.vector_support_error(objectives) is not None:
         return {}, 0
     if get_injector().active:
         # Fault injection hooks the object execution path; vectorized

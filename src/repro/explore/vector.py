@@ -7,23 +7,26 @@ stage graph, mapping, and hardware but differ only in
 such point through the full engine; this module evaluates a whole group
 at once:
 
-1. the design is *lowered* once into per-component energy kernels
-   (:mod:`repro.hw.analog.vector`), memoized per content hash;
+1. a type screen checks that the design's arrays, components, cells
+   and memories are the stock classes, whose energy models accept a
+   per-point column as well as a float (:mod:`repro.columns`);
 2. the design-only passes (timeline, analog usage, communication
    energy) run through the session's :class:`PassMemo` exactly like the
    engine would;
-3. timing, analog/digital energy, and power density evaluate as
-   element-wise NumPy expressions over per-point column vectors;
+3. the engine's own analog and digital energy models and power density
+   run once on per-point column vectors (timing is evaluated
+   element-wise here);
 4. metrics extract columns through their ``vector`` extractors.
 
-Equivalence contract: every float operation sequence of the scalar
-engine is replayed element-wise, so vector-evaluated points are
-*bit-identical* to object-path points — same metrics, same infeasibility
-boundaries, same :class:`TimingError` messages — which the property
-tests in ``tests/test_vector.py`` assert.  Designs, cells, memories, or
-metrics that cannot be vectorized raise
-:class:`~repro.exceptions.VectorUnsupported` during lowering (before any
-observable cache side effect) and the engine falls back to
+Equivalence contract: the energy formulas are the scalar engine's own
+functions, and element-wise NumPy arithmetic rounds exactly like float
+arithmetic, so vector-evaluated points are *bit-identical* to
+object-path points — same metrics, same infeasibility boundaries, same
+:class:`TimingError` messages — which the property tests in
+``tests/test_vector.py`` assert.  Designs with custom (subclassed)
+arrays, components, cells, or memory leakage may hold scalar-only code;
+the screen rejects them with :class:`~repro.exceptions.VectorUnsupported`
+before any observable cache side effect, and the engine falls back to
 :meth:`Simulator.run_many` for the group.
 
 Cache semantics match the object path: every point probes the session
@@ -35,50 +38,47 @@ thunks (:meth:`Simulator.offer_result`) that materialize a full
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as _np
 
 from repro.api.design import Design
 from repro.api.result import SimOptions, SimResult
 from repro.api.simulator import Simulator
-from repro.energy.analog_model import analog_energy_batch, analog_usage
+from repro.area.model import _power_density
+from repro.energy.analog_model import analog_usage, usage_energy
 from repro.energy.comm_model import communication_energy
-from repro.energy.digital_model import digital_energy_batch
-from repro.energy.report import (Category, EnergyEntry, EnergyReport,
-                                 VectorEntry)
+from repro.energy.digital_model import digital_energy
+from repro.energy.report import Category, EnergyEntry, EnergyReport
 from repro.exceptions import CamJError, TimingError, VectorUnsupported
 from repro.explore.annotate import _HINTS, Bottleneck
 from repro.explore.engine import ExplorationPoint, _evaluate_point
 from repro.explore.metrics import Metric
-from repro.hw.analog.vector import lower_array, numpy_available
+from repro.hw.analog.array import AnalogArray
+from repro.hw.analog.cells import DynamicCell, NonLinearCell, StaticCell
+from repro.hw.analog.components import AnalogComponent
+from repro.hw.digital.memory import DigitalMemory
 from repro.resilience.policy import FailureClass, classify
 from repro.sim.cycle_sim import simulate_digital
 from repro.sim.simulator import _run_pass
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the image
-    _np = None
-
 #: Smallest same-design group the ``auto`` engine vectorizes.  Tiny
-#: groups gain nothing over the object path (lowering plus array setup
+#: groups gain nothing over the object path (array setup
 #: costs more than a handful of scalar runs), and below this bound the
 #: object path's per-point reports stay attached — the behavior existing
 #: small sweeps (and their tests) expect.  ``engine="vector"`` ignores
 #: the bound and vectorizes any group it can.
 VECTOR_MIN_POINTS = 4
 
-_LOWERED_LIMIT = 128
-_lowered_cache: "OrderedDict[str, Dict[str, Callable]]" = OrderedDict()
-_lowered_lock = threading.Lock()
+#: The energy-model classes whose methods take per-point columns.
+_STOCK_MODELS = (AnalogArray, AnalogComponent, DynamicCell, StaticCell,
+                 NonLinearCell)
 
 
 def vector_support_error(objectives: Sequence[Metric]) -> Optional[str]:
     """Why the vector path cannot serve these objectives; None if it can."""
-    if not numpy_available():  # pragma: no cover - numpy ships in CI
-        return "numpy is not installed"
     missing = sorted(objective.name for objective in objectives
                      if objective.vector is None)
     if missing:
@@ -88,37 +88,34 @@ def vector_support_error(objectives: Sequence[Metric]) -> Optional[str]:
     return None
 
 
-def _lower_design(design: Design, design_hash: Optional[str]
-                  ) -> Dict[str, Callable]:
-    """Lower every analog array of a design to vector energy kernels.
+def _screen_stock_types(design: Design) -> None:
+    """Raise :class:`VectorUnsupported` unless every energy model of the
+    design is a stock class, which takes per-point columns.
 
     Pure over the design's *system* (no passes run, no cache touched),
     so eligibility is decided before the group produces any observable
-    side effect.  Also pre-screens the digital memories — their leakage
-    formula is replayed element-wise later, which only mirrors the stock
-    implementation.  Memoized per content hash.
+    side effect.  Subclasses may override ``energy``,
+    ``energy_per_access``, ``energy_breakdown`` or ``leakage_energy``
+    with scalar-only code, hence the exact-type checks.
     """
-    if design_hash is not None:
-        with _lowered_lock:
-            cached = _lowered_cache.get(design_hash)
-            if cached is not None:
-                _lowered_cache.move_to_end(design_hash)
-                return cached
-    from repro.hw.digital.memory import DigitalMemory
     for memory in design.system.memories:
-        if getattr(type(memory), "leakage_energy", None) \
-                is not DigitalMemory.leakage_energy:
+        if type(memory).leakage_energy is not DigitalMemory.leakage_energy:
             raise VectorUnsupported(
-                f"memory {getattr(memory, 'name', memory)!r} overrides "
-                f"leakage_energy")
-    lowered = {array.name: lower_array(array)
-               for array in design.system.analog_arrays}
-    if design_hash is not None:
-        with _lowered_lock:
-            _lowered_cache[design_hash] = lowered
-            while len(_lowered_cache) > _LOWERED_LIMIT:
-                _lowered_cache.popitem(last=False)
-    return lowered
+                f"memory {memory.name!r} overrides leakage_energy")
+    for array in design.system.analog_arrays:
+        _require_stock(array)
+        if not array.components:
+            raise VectorUnsupported(f"array {array.name!r} has no components")
+        for component, _ in array.components:
+            _require_stock(component)
+            for usage in component.cell_usages:
+                _require_stock(usage.cell)
+
+
+def _require_stock(model) -> None:
+    if type(model) not in _STOCK_MODELS:
+        raise VectorUnsupported(
+            f"{model!r} has custom type {type(model).__name__}")
 
 
 class VectorBatch:
@@ -133,7 +130,7 @@ class VectorBatch:
     """
 
     def __init__(self, design: Design, size: int, frame_rate, frame_time,
-                 digital_latency: float, entries: List[VectorEntry]):
+                 digital_latency: float, entries: List[EnergyEntry]):
         self.design = design
         self.system = design.system
         self.size = size
@@ -197,10 +194,8 @@ class VectorBatch:
         return self.frame_time - self.digital_latency
 
     def power_density(self, include_comm: bool = False):
-        from repro.area.model import power_density_batch
-        return power_density_batch(self.system, self.entries,
-                                   self.frame_rate,
-                                   include_comm=include_comm)
+        return _power_density(self.system, self.entries, self.frame_rate,
+                              include_comm)
 
 
 def _error_point(params: Dict[str, Any], design: Design,
@@ -304,33 +299,29 @@ def evaluate_group(simulator: Simulator, design: Design,
     ``group`` holds ``(params, options)`` pairs.  Returns the points in
     group order plus the result-cache hit count.  Raises
     :class:`VectorUnsupported` — before any cache probe or pass runs —
-    when the design cannot be lowered; the caller falls back to the
-    object path with no counters disturbed.
+    when the design has custom energy models; the caller falls back to
+    the object path with no counters disturbed.
     """
-    design_hash = simulator.design_key(design)
-    # Eligibility first: lowering inspects only the system, so an
+    # Eligibility first: the screen inspects only the system, so an
     # unsupported design escapes here with zero observable side effects.
-    lowered = _lower_design(design, design_hash)
+    _screen_stock_types(design)
+    design_hash = simulator.design_key(design)
 
-    size = len(group)
-    points: List[Optional[ExplorationPoint]] = [None] * size
-    hits = 0
+    points: List[Optional[ExplorationPoint]] = [None] * len(group)
     # Cache offers accumulate here and publish in one bulk call on
     # every exit path.
     offers: List[tuple] = []
     try:
-        return _evaluate_lowered(simulator, design, design_hash, lowered,
-                                 group, objectives, annotate, points,
-                                 offers)
+        return _evaluate_columns(simulator, design, design_hash, group,
+                                 objectives, annotate, points, offers)
     finally:
         # Offers are only ever accumulated under a non-None design
         # hash, so the whole group shares it.
         simulator.offer_results(offers, same_hash=design_hash)
 
 
-def _evaluate_lowered(simulator: Simulator, design: Design,
+def _evaluate_columns(simulator: Simulator, design: Design,
                       design_hash: Optional[str],
-                      lowered: Dict[str, Callable],
                       group: List[Tuple[Dict[str, Any], SimOptions]],
                       objectives: Sequence[Metric], annotate: bool,
                       points: List[Optional[ExplorationPoint]],
@@ -468,24 +459,15 @@ def _evaluate_lowered(simulator: Simulator, design: Design,
         slots_f = _np.array([base_slots + group[i][1].exposure_slots
                              for i in feasible_survivors])
     delay_f = budget_f / slots_f
-    breakdowns = [lowered[usage.array.name] if usage.ops > 0 else None
-                  for usage in participating]
     try:
-        entries: List[VectorEntry] = []
-        entries.extend(analog_energy_batch(participating, delay_f,
-                                           breakdowns))
-        entries.extend(digital_energy_batch(design.system, timeline,
-                                            frame_time_f))
-        comm_entries = _run_pass(
+        entries = usage_energy(participating, delay_f)
+        entries.extend(digital_energy(design.system, timeline,
+                                      frame_time_f))
+        entries.extend(_run_pass(
             "comm_energy", memo, counters,
             lambda: communication_energy(design.graph, design.system,
                                          design.mapping,
-                                         resolved=resolved))
-        entries.extend(VectorEntry(name=entry.name,
-                                   category=entry.category,
-                                   layer=entry.layer, energy=entry.energy,
-                                   stage=entry.stage)
-                       for entry in comm_entries)
+                                         resolved=resolved)))
     except CamJError as error:
         for i in feasible_survivors:
             params, options = group[i]
@@ -566,7 +548,7 @@ def _materialize_report(design_name: str, system_name: str,
                         design_hash: str, options: SimOptions,
                         frame_time: float, digital_latency: float,
                         analog_stage_delay: float,
-                        entries: List[VectorEntry],
+                        entries: List[EnergyEntry],
                         column: int) -> SimResult:
     """Rebuild one feasible point's full, bit-identical report.
 

@@ -12,14 +12,21 @@ conversion-step) below a corner sampling rate around 100 MS/s and rises
 roughly linearly with the rate above the corner.  Points are spread
 deterministically around that envelope so median lookups behave like they
 would against the real scatter plot.
+
+The lookup takes a float or a NumPy column of rates.  The window search
+stays in Python floats (``math.log10`` is not reproduced bit-for-bit by
+NumPy), once per distinct rate, so both forms give identical medians.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from functools import lru_cache, partial
 from typing import NamedTuple, Sequence
 
 from repro import units
+from repro.columns import any_true, per_value
 from repro.exceptions import ConfigurationError
 
 #: Walden FoM floor below the corner frequency (J per conversion-step).
@@ -63,6 +70,9 @@ def _build_survey() -> tuple:
 
 
 FOM_SURVEY: Sequence[FomPoint] = _build_survey()
+_SURVEY_LOG_RATES = tuple(math.log10(point.sample_rate)
+                          for point in FOM_SURVEY)
+_SURVEY_FOMS = tuple(point.fom for point in FOM_SURVEY)
 
 
 def _median(values) -> float:
@@ -74,23 +84,46 @@ def _median(values) -> float:
     return 0.5 * (ordered[middle - 1] + ordered[middle])
 
 
-def walden_fom(sample_rate: float, window_decades: float = 0.5) -> float:
+def walden_fom(sample_rate, window_decades: float = 0.5):
     """Median Walden FoM (J/conversion-step) near ``sample_rate``.
 
     Looks up all surveyed converters within ``window_decades`` of the rate
     (in log space) and returns their median FoM; falls back to the envelope
     trend when the window is empty (rates beyond the survey range).
+    ``sample_rate`` may be a float or a NumPy column of rates.
     """
-    if sample_rate <= 0:
+    if any_true(sample_rate <= 0):
         raise ConfigurationError(
             f"sample_rate must be positive, got {sample_rate}")
+    return per_value(partial(_walden_fom, window_decades), sample_rate)
+
+
+def _walden_fom(window_decades: float, sample_rate: float) -> float:
+    # The window is every survey point with -w <= s - p <= w.  The survey
+    # is ascending, so s - p is monotone and each bound is where its
+    # exact predicate flips: a bisect on the once-more-rounded p -/+ w
+    # seeds it, and the nudges settle it on the predicate itself.
     log_rate = math.log10(sample_rate)
-    nearby = [point.fom for point in FOM_SURVEY
-              if abs(math.log10(point.sample_rate) - log_rate)
-              <= window_decades]
-    if not nearby:
+    survey = _SURVEY_LOG_RATES
+    size = len(survey)
+    start = bisect_left(survey, log_rate - window_decades)
+    while start > 0 and survey[start - 1] - log_rate >= -window_decades:
+        start -= 1
+    while start < size and not survey[start] - log_rate >= -window_decades:
+        start += 1
+    stop = bisect_right(survey, log_rate + window_decades, start)
+    while stop > start and not survey[stop - 1] - log_rate <= window_decades:
+        stop -= 1
+    while stop < size and survey[stop] - log_rate <= window_decades:
+        stop += 1
+    if start == stop:
         return _envelope(sample_rate)
-    return _median(nearby)
+    return _window_median(start, stop)
+
+
+@lru_cache(maxsize=None)
+def _window_median(start: int, stop: int) -> float:
+    return _median(_SURVEY_FOMS[start:stop])
 
 
 def adc_energy_per_conversion(sample_rate: float, bits: int) -> float:
@@ -98,80 +131,3 @@ def adc_energy_per_conversion(sample_rate: float, bits: int) -> float:
     if bits < 1:
         raise ConfigurationError(f"ADC resolution must be >= 1 bit, got {bits}")
     return walden_fom(sample_rate) * (2 ** bits)
-
-
-_SURVEY_LOG_RATES = tuple(math.log10(point.sample_rate)
-                          for point in FOM_SURVEY)
-_SURVEY_FOMS = tuple(point.fom for point in FOM_SURVEY)
-
-
-def walden_fom_batch(sample_rates, window_decades: float = 0.5):
-    """Vector mirror of :func:`walden_fom` over an array of rates.
-
-    Bit-identical per element: the log-space window is evaluated against
-    the same ``math.log10`` values the scalar lookup compares, and each
-    distinct window takes the same :func:`_median` over the same survey
-    slice.  Survey rates are ascending, so every window is a contiguous
-    slice identified by its (start, length) pair — points sharing a
-    window share one median computation.
-    """
-    import numpy as np
-
-    rates = np.asarray(sample_rates, dtype=float)
-    if rates.size == 0:
-        return np.zeros(0)
-    if not bool((rates > 0).all()):
-        raise ConfigurationError("sample rates must all be positive")
-    # math.log10 per point, not np.log10: the window membership below
-    # must see the very floats the scalar path compares (np.log10 is
-    # not bit-identical to math.log10 on this platform).
-    point_logs = np.array([math.log10(rate) for rate in rates.tolist()])
-    survey_logs = np.array(_SURVEY_LOG_RATES)
-    # The survey is ascending with strictly distinct log rates, so each
-    # point's window is the contiguous run where the scalar predicate
-    # abs(survey_log - point_log) <= window holds.  Two searchsorted
-    # calls seed the run bounds from the rounded point_log -/+ window;
-    # because that one rounding can disagree with the predicate (which
-    # subtracts first) only within ~1 ulp — far below the survey's
-    # log-rate spacing — each bound is off by at most one index, and
-    # the exact-predicate nudges below (two steps, for margin) restore
-    # bit-identical membership without the dense N x survey mask.
-    size = survey_logs.size
-    first = np.searchsorted(survey_logs, point_logs - window_decades,
-                            side="left")
-    last = np.searchsorted(survey_logs, point_logs + window_decades,
-                           side="right")
-
-    def _in_window(indices):
-        probe = survey_logs[np.clip(indices, 0, size - 1)]
-        return np.abs(probe - point_logs) <= window_decades
-
-    for _ in range(2):
-        prev = first - 1
-        first = np.where((prev >= 0) & _in_window(prev), prev, first)
-    for _ in range(2):
-        first = np.where((first < size) & ~_in_window(first),
-                         first + 1, first)
-    for _ in range(2):
-        last = np.where((last < size) & _in_window(last), last + 1, last)
-    for _ in range(2):
-        prev = last - 1
-        last = np.where((prev >= 0) & ~_in_window(prev), prev, last)
-    counts = np.maximum(last - first, 0)
-    out = np.empty(rates.shape)
-    empty = counts == 0
-    if bool(empty.any()):
-        out[empty] = _FOM_FLOOR * np.maximum(1.0,
-                                             rates[empty] / _CORNER_RATE)
-    filled = ~empty
-    if bool(filled.any()):
-        stride = len(_SURVEY_FOMS) + 1
-        keys = first[filled] * stride + counts[filled]
-        unique_keys, inverse = np.unique(keys, return_inverse=True)
-        medians = np.empty(len(unique_keys))
-        for position, key in enumerate(unique_keys.tolist()):
-            start, length = divmod(int(key), stride)
-            medians[position] = _median(
-                list(_SURVEY_FOMS[start:start + length]))
-        out[filled] = medians[inverse]
-    return out

@@ -11,8 +11,9 @@ to the AFA divided by the component count.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.columns import any_true
 from repro.exceptions import ConfigurationError
 from repro.hw.analog.components import AnalogComponent, _volume
 from repro.hw.analog.domain import SignalDomain
@@ -155,17 +156,18 @@ class AnalogArray:
         return {component.name: ops / count
                 for component, count in self._entries}
 
-    def energy_breakdown(self, ops: float, array_delay: float,
-                         ) -> Dict[str, float]:
+    def energy_breakdown(self, ops: float, array_delay,
+                         ) -> Dict[str, Any]:
         """Per-component energy for ``ops`` operations within ``array_delay``.
 
         Each component instance performs ``ops / count`` accesses serially
         within the array delay, so its per-access delay is the array delay
         divided by that access count (never less than one access worth —
-        an underutilized component simply idles).
+        an underutilized component simply idles).  ``array_delay`` may be
+        a float or a per-point column.
         """
         self._require_components()
-        if array_delay <= 0:
+        if any_true(array_delay <= 0):
             raise ConfigurationError(
                 f"analog array {self.name!r}: delay must be positive, "
                 f"got {array_delay}")

@@ -14,7 +14,9 @@ them in three classes with distinct energy physics:
 
 Cell energies are evaluated lazily against a timing context because static
 and non-linear cells depend on the delay the pipeline allocates to them
-(Sec. 4.1); dynamic cells ignore timing.
+(Sec. 4.1); dynamic cells ignore timing.  The timing may be a float or a
+NumPy column with one delay per explored point (:mod:`repro.columns`);
+the energy then comes back in the same shape.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 from repro import units
+from repro.columns import any_true
 from repro.exceptions import ConfigurationError
 from repro.hw.analog.adc_fom import adc_energy_per_conversion
 
@@ -178,7 +181,7 @@ class StaticCell(AnalogCell):
 
     def bias_current(self, cell_delay: float) -> float:
         """Estimated bias current given the allocated settling delay."""
-        if cell_delay <= 0:
+        if any_true(cell_delay <= 0):
             raise ConfigurationError(
                 f"static cell {self.name!r}: cell delay must be positive, "
                 f"got {cell_delay}")
@@ -193,7 +196,7 @@ class StaticCell(AnalogCell):
         """``Vdda * Ibias * t_static`` (Eq. 7)."""
         if static_time is None:
             static_time = cell_delay
-        if static_time < 0:
+        if any_true(static_time < 0):
             raise ConfigurationError(
                 f"static cell {self.name!r}: static time must be "
                 f"non-negative, got {static_time}")
@@ -227,7 +230,7 @@ class NonLinearCell(AnalogCell):
         """Energy of one conversion at the sampling rate ``1/cell_delay``."""
         if self.energy_per_conversion is not None:
             return self.energy_per_conversion
-        if cell_delay <= 0:
+        if any_true(cell_delay <= 0):
             raise ConfigurationError(
                 f"non-linear cell {self.name!r}: cell delay must be "
                 f"positive, got {cell_delay}")

@@ -1,14 +1,45 @@
 """Tests for the Walden FoM survey used by non-linear A-Cells."""
 
+import math
+import random
+
+import numpy as np
 import pytest
 
 from repro import units
 from repro.exceptions import ConfigurationError
 from repro.hw.analog.adc_fom import (
     FOM_SURVEY,
+    _envelope,
+    _median,
     adc_energy_per_conversion,
     walden_fom,
 )
+
+
+def _linear_scan_fom(sample_rate, window_decades=0.5):
+    """Reference lookup: test every survey point against the window."""
+    log_rate = math.log10(sample_rate)
+    nearby = [point.fom for point in FOM_SURVEY
+              if abs(math.log10(point.sample_rate) - log_rate)
+              <= window_decades]
+    if not nearby:
+        return _envelope(sample_rate)
+    return _median(nearby)
+
+
+def _window_edge_rates():
+    """Every survey rate shifted to both window edges, each with its
+    floating-point neighbours: the rates where membership flips."""
+    rates = []
+    for point in FOM_SURVEY:
+        for shift in (-0.5, 0.5):
+            edge = 10.0 ** (math.log10(point.sample_rate) + shift)
+            below = math.nextafter(edge, 0.0)
+            above = math.nextafter(edge, math.inf)
+            rates.extend((math.nextafter(below, 0.0), below, edge, above,
+                          math.nextafter(above, math.inf)))
+    return rates
 
 
 class TestSurveyDataset:
@@ -47,6 +78,32 @@ class TestWaldenLookup:
     def test_rejects_non_positive_rate(self):
         with pytest.raises(ConfigurationError):
             walden_fom(0.0)
+        with pytest.raises(ConfigurationError):
+            walden_fom(np.array([1e6, 0.0]))
+
+
+class TestWaldenExactness:
+    """The binary-search lookup equals the linear scan bit for bit, on
+    floats and on arrays alike."""
+
+    def _rates(self):
+        rng = random.Random("walden")
+        return _window_edge_rates() + [10.0 ** rng.uniform(1.0, 11.0)
+                                       for _ in range(4000)]
+
+    def test_floats_match_linear_scan(self):
+        for rate in self._rates():
+            assert walden_fom(rate) == _linear_scan_fom(rate), rate
+
+    def test_arrays_match_linear_scan(self):
+        rates = self._rates()
+        looked_up = walden_fom(np.array(rates))
+        assert isinstance(looked_up, np.ndarray)
+        assert looked_up.tolist() == [_linear_scan_fom(rate)
+                                      for rate in rates]
+
+    def test_empty_array(self):
+        assert walden_fom(np.array([])).shape == (0,)
 
 
 class TestEnergyPerConversion:

@@ -154,6 +154,9 @@ class TestSimOptions:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             SimOptions(frame_rate=0)
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                SimOptions(frame_rate=rate)
         with pytest.raises(ConfigurationError):
             SimOptions(exposure_slots=0)
 

@@ -100,15 +100,20 @@ class TestExecutorRegistry:
 
     def test_import_leaves_worker_modules_unloaded(self):
         """Worker-side modules load on the first process batch, not on
-        ``import repro``."""
+        ``import repro``; NumPy loads on neither that nor an object-path
+        run."""
         code = ("import sys, repro, repro.api; "
                 "print(sorted(m for m in sys.modules "
-                "if m in ('repro.exec.worker', 'repro.serve.client')))")
+                "if m in ('repro.exec.worker', 'repro.serve.client'))); "
+                "from repro.api import Simulator, build_usecase; "
+                "assert Simulator(executor='inline').run("
+                "build_usecase('edgaze')).ok; "
+                "print('numpy' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
         output = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True,
                                 check=True).stdout
-        assert output.strip() == "[]"
+        assert output.split() == ["[]", "False"]
 
     def test_executor_info_describes_backend(self):
         with Simulator(executor="inline", cache=False) as session:

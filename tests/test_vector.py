@@ -7,11 +7,13 @@ metrics, failures, bottlenecks — with plain equality, never tolerances.
 """
 
 import json
+import math
 import random
 
 import pytest
 
-from repro.api import Simulator
+from repro import units
+from repro.api import Design, Simulator
 from repro.api.registry import available_usecases
 from repro.exceptions import ConfigurationError, SerializationError
 from repro.explore import (
@@ -27,14 +29,15 @@ from repro.explore import (
     zipped,
 )
 from repro.explore.metrics import _REGISTRY, available_metrics
-from repro.explore.vector import (
-    VECTOR_MIN_POINTS,
-    numpy_available,
-    vector_support_error,
-)
-
-pytestmark = pytest.mark.skipif(not numpy_available(),
-                                reason="vector engine needs numpy")
+from repro.explore.vector import VECTOR_MIN_POINTS, vector_support_error
+from repro.hw.analog.array import AnalogArray
+from repro.hw.analog.components import ActivePixelSensor, ColumnADC
+from repro.hw.analog.extended import SingleSlopeADC
+from repro.hw.chip import SensorSystem
+from repro.hw.digital.compute import ComputeUnit
+from repro.hw.digital.memory import LineBuffer
+from repro.hw.layer import SENSOR_LAYER, Layer
+from repro.usecases.fig5 import FIG5_MAPPING, build_fig5_stages
 
 #: Design-parameter axes of each registered usecase builder.
 _DESIGN_AXES = {
@@ -78,6 +81,49 @@ def _sampled_space(usecase, rng, count):
     return zipped(*axes) if len(axes) > 1 else axes[0]
 
 
+class _LeakyLineBuffer(LineBuffer):
+    """A line buffer with its own, scalar-only leakage model."""
+
+    def leakage_energy(self, frame_time):
+        if frame_time <= 0:
+            raise ConfigurationError("frame time must be positive")
+        return 2.0 * self.leakage_power * frame_time
+
+
+def _fig5_variant(adc_factory, line_buffer_type=LineBuffer):
+    """A builder of the Fig. 5 design with its column ADC or its line
+    buffer class swapped for a custom energy model."""
+    def build():
+        system = SensorSystem("Fig5", layers=[Layer(SENSOR_LAYER, 65)])
+        pixel_array = AnalogArray("PixelArray", num_input=(1, 32),
+                                  num_output=(1, 16))
+        pixel_array.add_component(
+            ActivePixelSensor("BinningPixel", num_shared_pixels=4), (16, 16))
+        adc_array = AnalogArray("ADCArray", num_input=(1, 16),
+                                num_output=(1, 16))
+        adc_array.add_component(adc_factory(), (1, 16))
+        line_buffer = line_buffer_type(
+            "LineBuffer", size=(3, 16), write_energy_per_word=0.3 * units.pJ,
+            read_energy_per_word=0.3 * units.pJ,
+            leakage_power=1.0 * units.uW)
+        edge_unit = ComputeUnit("EdgeUnit", input_pixels_per_cycle=(1, 3, 1),
+                                output_pixels_per_cycle=(1, 1, 1),
+                                energy_per_cycle=3.0 * units.pJ,
+                                num_stages=2)
+        pixel_array.set_output(adc_array)
+        adc_array.set_output(line_buffer)
+        edge_unit.set_input(line_buffer)
+        edge_unit.set_sink()
+        system.add_analog_array(pixel_array)
+        system.add_analog_array(adc_array)
+        system.add_memory(line_buffer)
+        system.add_compute_unit(edge_unit)
+        system.set_pixel_array_geometry(32, 32)
+        return Design(build_fig5_stages(), system, dict(FIG5_MAPPING),
+                      name="Fig5")
+    return build
+
+
 class TestEquivalence:
     """Vector output is indistinguishable from the object path."""
 
@@ -101,6 +147,17 @@ class TestEquivalence:
         assert engines["vectorized"] == len(space)
         assert json.dumps(document_vector, sort_keys=True) \
             == json.dumps(document_object, sort_keys=True)
+
+    def test_non_finite_frame_rates_match_exactly(self):
+        space = choice("options.frame_rate", [30.0, math.nan, math.inf, 60.0])
+        document_object, document_vector, _ = _documents(
+            space, "edgaze",
+            objectives=("energy_per_frame", "power_density", "latency"))
+        assert json.dumps(document_vector, sort_keys=True) \
+            == json.dumps(document_object, sort_keys=True)
+        failures = [point["failure"] for point in document_object["points"]]
+        assert [failure and failure["type"] for failure in failures] \
+            == [None, "ConfigurationError", "ConfigurationError", None]
 
     def test_exposure_slots_axis_matches_exactly(self):
         space = grid(**{"options.frame_rate": [30.0, 60.0],
@@ -144,6 +201,25 @@ class TestRouting:
                          objectives=("energy_per_frame",))
         assert result.engines == {"vectorized": 5, "fallback": 2}
         assert len(result.feasible_points) == len(rates)
+
+    @pytest.mark.parametrize("builder", [
+        _fig5_variant(SingleSlopeADC),
+        _fig5_variant(lambda: ColumnADC(bits=10),
+                      line_buffer_type=_LeakyLineBuffer),
+    ], ids=["single-slope-adc", "leakage-override"])
+    def test_custom_energy_models_fall_back(self, builder):
+        space = grid(**{"options.frame_rate": [20.0, 30.0, 40.0, 50.0, 60.0]})
+        objectives = ("energy_per_frame", "power_density", "latency")
+        auto = explore(space, builder, objectives=objectives)
+        assert auto.engines == {"vectorized": 0, "fallback": len(space)}
+        assert len(auto.feasible_points) == len(space)
+        document_auto = auto.to_dict()
+        document_object = explore(space, builder, objectives=objectives,
+                                  engine="object").to_dict()
+        document_auto.pop("engines")
+        document_object.pop("engines")
+        assert json.dumps(document_auto, sort_keys=True) \
+            == json.dumps(document_object, sort_keys=True)
 
     def test_cycle_accurate_points_fall_back(self):
         space = grid(**{"options.frame_rate": [20.0, 30.0, 40.0, 50.0],
