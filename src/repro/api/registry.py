@@ -71,6 +71,9 @@ def available_usecases() -> List[str]:
 def build_usecase(name: str, **params) -> Design:
     """Instantiate a registered use case as a :class:`Design`."""
     _load_builtins()
+    if not isinstance(name, str):
+        raise ConfigurationError(
+            f"usecase name must be a string, got {type(name).__name__}")
     if name not in _REGISTRY:
         raise ConfigurationError(
             f"unknown usecase {name!r}; available: {available_usecases()}")

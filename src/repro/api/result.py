@@ -56,6 +56,15 @@ class SimOptions:
                 or not isinstance(self.skip_checks, bool):
             raise ConfigurationError(
                 "cycle_accurate and skip_checks must be booleans")
+        # The engine computes in floats: a huge JSON integer would pass
+        # the range checks below and overflow later, untyped.
+        try:
+            float(self.frame_rate)
+            float(self.exposure_slots)
+        except OverflowError:
+            raise ConfigurationError(
+                "frame rate and exposure slots must fit in a float, got "
+                "an integer too large for one") from None
         if not 0 < self.frame_rate < math.inf:
             raise ConfigurationError(
                 f"frame rate must be positive and finite, "

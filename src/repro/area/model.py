@@ -7,9 +7,10 @@ one die; for a stacked design each layer's density is its own power over
 its own area, and the reported chip density is the maximum across layers
 (the thermal-relevant hotspot bound).
 
-The power-density body runs on one report's float energies or, for the
-explore fast path, on per-point energy and frame-rate columns; both go
-through the same arithmetic, so the two agree bit for bit.
+Power density runs on one report's float energies or, on the explore
+fast path, on a report whose energies and frame rate are per-point
+columns; both go through the same arithmetic, so the two agree bit for
+bit.
 """
 
 from __future__ import annotations
@@ -78,32 +79,46 @@ def layer_power_density(system: SensorSystem, report: EnergyReport,
     matching Table 3's on-die accounting; pass ``include_comm=True`` to
     fold the transmitter power back in.
     """
-    return _layer_densities(system, estimate_area(system), report.entries,
-                            report.frame_rate, include_comm)
+    return _layer_densities(system, estimate_area(system), report,
+                            include_comm)
 
 
 def power_density(system: SensorSystem, report: EnergyReport,
-                  include_comm: bool = False) -> float:
+                  include_comm: bool = False):
     """Chip power density: on-chip power over area.
 
     2D designs divide total on-chip power by the single die area; stacked
     designs report the maximum per-layer density (the hotspot bound the
-    thermal argument of Sec. 6.2 cares about).
+    thermal argument of Sec. 6.2 cares about).  The no-on-chip-area
+    error depends only on the design, so a column report fails as a
+    whole, as each of its points would.
     """
-    return _power_density(system, report.entries, report.frame_rate,
-                          include_comm)
+    areas = estimate_area(system)
+    densities = _layer_densities(system, areas, report, include_comm)
+    if not densities:
+        raise ConfigurationError(
+            f"system {system.name!r} has no on-chip area to compute a "
+            f"power density over; set pixel geometry or memory areas")
+    if system.is_stacked:
+        return reduce(maximum, densities.values())
+    total_power = sum(entry.energy * report.frame_rate
+                      for entry in report.entries
+                      if entry.layer != OFF_CHIP
+                      and (include_comm or not _is_comm_entry(entry)))
+    return total_power / areas.total
 
 
-def _layer_densities(system: SensorSystem, areas: AreaBreakdown, entries,
-                     frame_rate, include_comm: bool) -> Dict[str, Any]:
+def _layer_densities(system: SensorSystem, areas: AreaBreakdown,
+                     report: EnergyReport,
+                     include_comm: bool) -> Dict[str, Any]:
     power_by_layer = {}
-    for entry in entries:
+    for entry in report.entries:
         if entry.layer == OFF_CHIP:
             continue
         if not include_comm and _is_comm_entry(entry):
             continue
         power_by_layer[entry.layer] = (power_by_layer.get(entry.layer, 0.0)
-                                       + entry.energy * frame_rate)
+                                       + entry.energy * report.frame_rate)
     densities = {}
     # In a stacked design every die shares the chip footprint, so each
     # layer's density is its power over the footprint; in a 2D design the
@@ -116,27 +131,6 @@ def _layer_densities(system: SensorSystem, areas: AreaBreakdown, entries,
             continue
         densities[layer_name] = power / area
     return densities
-
-
-def _power_density(system: SensorSystem, entries, frame_rate,
-                   include_comm: bool):
-    """:func:`power_density` over entries and a frame rate that may be
-    per-point columns.  The no-on-chip-area error depends only on the
-    design, so a column batch fails as a whole, as each point would."""
-    areas = estimate_area(system)
-    densities = _layer_densities(system, areas, entries, frame_rate,
-                                 include_comm)
-    if not densities:
-        raise ConfigurationError(
-            f"system {system.name!r} has no on-chip area to compute a "
-            f"power density over; set pixel geometry or memory areas")
-    if system.is_stacked:
-        return reduce(maximum, densities.values())
-    total_power = sum(entry.energy * frame_rate
-                      for entry in entries
-                      if entry.layer != OFF_CHIP
-                      and (include_comm or not _is_comm_entry(entry)))
-    return total_power / areas.total
 
 
 def format_density(density: float) -> str:

@@ -1,11 +1,12 @@
-"""Float-or-column arithmetic for the energy models.
+"""Float-or-column arithmetic for the energy models and their reports.
 
-The hardware models (Eqs. 2-16) are written once over plain arithmetic,
-which broadcasts, so the same function evaluates one design point on a
-Python float or a whole explored group on a NumPy column.  Only three
-things differ between the two, and they live here: truth tests of a
-comparison, maxima, and scalar-only steps.  NumPy is imported only when
-an array is actually passed in.
+The hardware models (Eqs. 2-16), the frame timing (Sec. 4.1) and the
+report roll-ups are written once over plain arithmetic, which
+broadcasts, so the same function evaluates one design point on a Python
+float or a whole explored group on a NumPy column.  Only four things
+differ between the two, and they live here: truth tests of a
+comparison, maxima, shares of a total, and scalar-only steps.  NumPy is
+imported only when an array is actually passed in.
 """
 
 from __future__ import annotations
@@ -29,6 +30,16 @@ def maximum(a, b):
         return max(a, b)
     import numpy as np
     return np.maximum(a, b)
+
+
+def share(part, whole):
+    """``part / whole``, or 0 where ``whole`` is 0 (element-wise)."""
+    if _is_scalar(whole):
+        return part / whole if whole else 0.0
+    import numpy as np
+    out = np.zeros(np.shape(whole))
+    np.divide(part, whole, out=out, where=whole != 0)
+    return out
 
 
 def per_value(fn, x):

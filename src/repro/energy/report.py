@@ -5,10 +5,12 @@ Entries are tagged with the categories the paper's figures roll up to:
 (``COMP-A``/``MEM-A``), digital compute/memory (``COMP-D``/``MEM-D``), and
 the two communication interfaces (``MIPI``/``uTSV``).
 
-The energy models return these same :class:`EnergyEntry` values on the
-explore fast path, where an option-dependent energy is a NumPy column
-with one element per explored point; :class:`EnergyReport` itself always
-holds one point's floats.
+On the explore fast path one :class:`EnergyReport` holds a whole group
+of explored points of one design: ``frame_rate``, ``frame_time``,
+``analog_stage_delay`` and every option-dependent entry energy are NumPy
+columns with one element per point.  The roll-ups are plain left folds,
+which broadcast, so the metrics read a column report through the same
+code as a one-point report, element for element bit-identical.
 """
 
 from __future__ import annotations

@@ -411,7 +411,7 @@ def _metric_from_payload(raw: Dict[str, Any]) -> Metric:
         raise SerializationError(
             f"objective spec must be an object with a 'name', got {raw!r}")
     name = raw["name"]
-    vector = None
+    vector = False
     try:
         registered = _lookup_metric(name)
         extract = registered.extract

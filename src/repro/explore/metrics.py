@@ -14,32 +14,38 @@ area — plus per-category energies and shares (``energy:MEM-D``,
 surface as typed infeasible points in the exploration result, which is
 where a hard constraint belongs.
 
+Each metric is written once.  On the explore fast path
+(:mod:`repro.explore.vector`) the same ``extract`` reads a *column
+report* — one :class:`EnergyReport` whose frame rate, frame time and
+entry energies are per-point NumPy columns — and returns a column or a
+design-constant float.  ``vector=True`` declares that the extractor
+takes such a report (plain arithmetic on the report broadcasts;
+:mod:`repro.columns` covers the rest); metrics without it keep the
+fast path off for their explorations.
+
 User code registers additional metrics at runtime::
 
     register_metric(Metric("fps_per_mw",
                            unit="FPS/mW", goal="max",
                            extract=lambda design, report:
                                report.frame_rate /
-                               (report.total_power / units.mW)))
+                               (report.total_power / units.mW),
+                           vector=True))
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Sequence, Union
 
 from repro.area.model import estimate_area, power_density
+from repro.columns import share
 from repro.energy.report import Category, EnergyReport
 from repro.exceptions import ConfigurationError
 
-#: Extractor signature: (design, report) -> float.
+#: Extractor signature: (design, report) -> float, or a column for a
+#: column report.
 Extractor = Callable[["Design", EnergyReport], float]  # noqa: F821
-
-#: Vector extractor signature: (design, batch) -> column (ndarray or a
-#: design-constant scalar), where ``batch`` is the explore fast path's
-#: :class:`repro.explore.vector.VectorBatch`.  Metrics without one fall
-#: back to per-point object evaluation under the vector engine.
-VectorExtractor = Callable[["Design", Any], Any]  # noqa: F821
 
 _GOALS = ("min", "max")
 
@@ -53,7 +59,7 @@ class Metric:
     extract: Extractor = field(compare=False)
     goal: str = "min"
     description: str = ""
-    vector: Optional[VectorExtractor] = field(default=None, compare=False)
+    vector: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -65,6 +71,11 @@ class Metric:
         if not callable(self.extract):
             raise ConfigurationError(
                 f"metric {self.name!r}: extractor must be callable")
+        if not isinstance(self.vector, bool):
+            raise ConfigurationError(
+                f"metric {self.name!r}: vector must be a bool (whether "
+                f"the extractor accepts column reports), "
+                f"got {self.vector!r}")
 
     def value(self, design, report: EnergyReport) -> float:
         """Evaluate the metric on one simulated point."""
@@ -118,71 +129,57 @@ def resolve_metrics(objectives: Sequence[Union[str, Metric]]) -> List[Metric]:
 
 def _register_builtins() -> None:
     register_metric(Metric(
-        "energy_per_frame", unit="J/frame",
+        "energy_per_frame", unit="J/frame", vector=True,
         extract=lambda design, report: report.total_energy,
-        vector=lambda design, batch: batch.total_energy(),
         description="total energy per frame (Eq. 1)"))
     register_metric(Metric(
-        "power", unit="W",
+        "power", unit="W", vector=True,
         extract=lambda design, report: report.total_power,
-        vector=lambda design, batch: batch.total_power(),
         description="average power at the configured frame rate"))
     register_metric(Metric(
-        "power_density", unit="W/m^2",
+        "power_density", unit="W/m^2", vector=True,
         extract=lambda design, report: power_density(design.system, report),
-        vector=lambda design, batch: batch.power_density(),
         description="on-chip power density; hotspot bound for stacks "
                     "(Table 3)"))
     register_metric(Metric(
-        "latency", unit="s",
+        "latency", unit="s", vector=True,
         extract=lambda design, report: report.digital_latency,
-        vector=lambda design, batch: batch.digital_latency,
         description="digital pipeline latency per frame"))
     register_metric(Metric(
-        "frame_slack", unit="s", goal="max",
+        "frame_slack", unit="s", goal="max", vector=True,
         extract=lambda design, report:
             report.frame_time - report.digital_latency,
-        vector=lambda design, batch: batch.frame_slack(),
         description="frame budget left after the digital pipeline"))
     register_metric(Metric(
-        "area", unit="m^2",
+        "area", unit="m^2", vector=True,
         extract=lambda design, report:
-            estimate_area(design.system).total,
-        vector=lambda design, batch:
             estimate_area(design.system).total,
         description="conservative total silicon area across layers"))
     register_metric(Metric(
-        "footprint", unit="m^2",
+        "footprint", unit="m^2", vector=True,
         extract=lambda design, report:
-            estimate_area(design.system).footprint,
-        vector=lambda design, batch:
             estimate_area(design.system).footprint,
         description="die footprint (largest layer of a stack)"))
     register_metric(Metric(
-        "analog_energy", unit="J/frame",
+        "analog_energy", unit="J/frame", vector=True,
         extract=lambda design, report: report.analog_energy,
-        vector=lambda design, batch: batch.analog_energy(),
         description="SEN + analog compute + analog memory energy"))
     register_metric(Metric(
-        "digital_energy", unit="J/frame",
+        "digital_energy", unit="J/frame", vector=True,
         extract=lambda design, report: report.digital_energy,
-        vector=lambda design, batch: batch.digital_energy(),
         description="digital compute + digital memory energy"))
     register_metric(Metric(
-        "communication_energy", unit="J/frame",
+        "communication_energy", unit="J/frame", vector=True,
         extract=lambda design, report: report.communication_energy,
-        vector=lambda design, batch: batch.communication_energy(),
         description="MIPI + uTSV link energy (Eq. 17)"))
     for category in Category:
         register_metric(Metric(
             f"energy:{category.value}", unit="J/frame",
-            extract=_category_energy(category),
-            vector=_category_energy_vector(category),
+            extract=_category_energy(category), vector=True,
             description=f"energy of the {category.value} roll-up category"))
         register_metric(Metric(
             f"share:{category.value}", unit="fraction",
-            extract=_category_share(category),
-            vector=_category_share_vector(category),
+            extract=_category_share(category), vector=True,
             description=f"share of total energy in {category.value}"))
 
 
@@ -191,18 +188,8 @@ def _category_energy(category: Category) -> Extractor:
 
 
 def _category_share(category: Category) -> Extractor:
-    def share(design, report: EnergyReport) -> float:
-        total = report.total_energy
-        return report.category_energy(category) / total if total else 0.0
-    return share
-
-
-def _category_energy_vector(category: Category) -> VectorExtractor:
-    return lambda design, batch: batch.category_energy(category)
-
-
-def _category_share_vector(category: Category) -> VectorExtractor:
-    return lambda design, batch: batch.category_share(category)
+    return lambda design, report: share(report.category_energy(category),
+                                        report.total_energy)
 
 
 _register_builtins()

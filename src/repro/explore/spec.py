@@ -97,6 +97,10 @@ def exploration_spec_from_dict(payload: Dict[str, Any]) -> ExplorationSpec:
             f"unknown exploration spec keys: {sorted(unknown)}")
     if "usecase" not in payload:
         raise SerializationError("exploration spec needs a 'usecase'")
+    if not isinstance(payload["usecase"], str):
+        raise SerializationError(
+            f"'usecase' must be a usecase name, got "
+            f"{type(payload['usecase']).__name__}")
     if "space" not in payload:
         raise SerializationError("exploration spec needs a 'space'")
     objectives = payload.get("objectives", list(DEFAULT_OBJECTIVES))

@@ -13,16 +13,20 @@ at once:
 2. the design-only passes (timeline, analog usage, communication
    energy) run through the session's :class:`PassMemo` exactly like the
    engine would;
-3. the engine's own analog and digital energy models and power density
-   run once on per-point column vectors (timing is evaluated
-   element-wise here);
-4. metrics extract columns through their ``vector`` extractors.
+3. the engine's own frame timing and analog and digital energy models
+   run once on per-point columns and fill one *column report*, an
+   :class:`EnergyReport` whose frame rate, frame time, stage delay and
+   option-dependent entry energies are columns;
+4. each objective's own ``extract`` reads that report (metrics declare
+   with ``vector=True`` that they accept one).
 
-Equivalence contract: the energy formulas are the scalar engine's own
-functions, and element-wise NumPy arithmetic rounds exactly like float
-arithmetic, so vector-evaluated points are *bit-identical* to
-object-path points — same metrics, same infeasibility boundaries, same
-:class:`TimingError` messages — which the property tests in
+Equivalence contract: the timing, energy and metric formulas are the
+scalar engine's own functions, and element-wise NumPy arithmetic rounds
+exactly like float arithmetic, so vector-evaluated points are
+*bit-identical* to object-path points — same metrics, same
+infeasibility boundaries, same :class:`TimingError` messages (an
+over-budget point takes its error from the scalar
+:func:`estimate_frame_timing`) — which the property tests in
 ``tests/test_vector.py`` assert.  Designs with custom (subclassed)
 arrays, components, cells, or memory leakage may hold scalar-only code;
 the screen rejects them with :class:`~repro.exceptions.VectorUnsupported`
@@ -47,12 +51,11 @@ import numpy as _np
 from repro.api.design import Design
 from repro.api.result import SimOptions, SimResult
 from repro.api.simulator import Simulator
-from repro.area.model import _power_density
 from repro.energy.analog_model import analog_usage, usage_energy
 from repro.energy.comm_model import communication_energy
 from repro.energy.digital_model import digital_energy
 from repro.energy.report import Category, EnergyEntry, EnergyReport
-from repro.exceptions import CamJError, TimingError, VectorUnsupported
+from repro.exceptions import CamJError, VectorUnsupported
 from repro.explore.annotate import _HINTS, Bottleneck
 from repro.explore.engine import ExplorationPoint, _evaluate_point
 from repro.explore.metrics import Metric
@@ -62,6 +65,7 @@ from repro.hw.analog.components import AnalogComponent
 from repro.hw.digital.memory import DigitalMemory
 from repro.resilience.policy import FailureClass, classify
 from repro.sim.cycle_sim import simulate_digital
+from repro.sim.delay import estimate_frame_timing, frame_timing
 from repro.sim.simulator import _run_pass
 
 #: Smallest same-design group the ``auto`` engine vectorizes.  Tiny
@@ -80,11 +84,11 @@ _STOCK_MODELS = (AnalogArray, AnalogComponent, DynamicCell, StaticCell,
 def vector_support_error(objectives: Sequence[Metric]) -> Optional[str]:
     """Why the vector path cannot serve these objectives; None if it can."""
     missing = sorted(objective.name for objective in objectives
-                     if objective.vector is None)
+                     if not objective.vector)
     if missing:
-        return (f"objective(s) {missing} have no vector extractor; "
-                f"register the metric with a vector= callable or use "
-                f"the object engine")
+        return (f"objective(s) {missing} do not accept column reports; "
+                f"register the metric with vector=True once its "
+                f"extractor does, or use the object engine")
     return None
 
 
@@ -118,107 +122,33 @@ def _require_stock(model) -> None:
             f"{model!r} has custom type {type(model).__name__}")
 
 
-class VectorBatch:
-    """Column view of one vector-evaluated group of feasible points.
-
-    Metric ``vector`` extractors receive this in place of a per-point
-    :class:`EnergyReport`; the rollups mirror the report's with the same
-    left-fold float arithmetic, element-wise, so each column element is
-    bit-identical to the scalar metric of that point.  Values may be
-    design-constant scalars (broadcast); :meth:`materialize` turns any
-    extractor result into a dense per-point column.
-    """
-
-    def __init__(self, design: Design, size: int, frame_rate, frame_time,
-                 digital_latency: float, entries: List[EnergyEntry]):
-        self.design = design
-        self.system = design.system
-        self.size = size
-        self.frame_rate = frame_rate
-        self.frame_time = frame_time
-        self.digital_latency = digital_latency
-        self.entries = entries
-        self._total = None
-        self._by_category: Optional[Dict[Category, Any]] = None
-
-    def materialize(self, values) -> Any:
-        """A dense per-point column from a vector or a constant scalar."""
-        if isinstance(values, _np.ndarray):
-            return values
-        return _np.full(self.size, float(values))
-
-    def total_energy(self):
-        if self._total is None:
-            total = _np.zeros(self.size)
-            for entry in self.entries:
-                total = total + entry.energy
-            self._total = total
-        return self._total
-
-    def total_power(self):
-        return self.total_energy() * self.frame_rate
-
-    def by_category(self) -> Dict[Category, Any]:
-        if self._by_category is None:
-            rollup: Dict[Category, Any] = {}
-            for entry in self.entries:
-                rollup[entry.category] = rollup.get(entry.category, 0.0) \
-                    + entry.energy
-            self._by_category = rollup
-        return self._by_category
-
-    def category_energy(self, category: Category):
-        return self.by_category().get(category, 0.0)
-
-    def category_share(self, category: Category):
-        total = self.total_energy()
-        energy = self.materialize(self.category_energy(category))
-        share = _np.zeros(self.size)
-        _np.divide(energy, total, out=share, where=total != 0.0)
-        return share
-
-    def analog_energy(self):
-        return (self.category_energy(Category.SEN)
-                + self.category_energy(Category.COMP_A)
-                + self.category_energy(Category.MEM_A))
-
-    def digital_energy(self):
-        return (self.category_energy(Category.COMP_D)
-                + self.category_energy(Category.MEM_D))
-
-    def communication_energy(self):
-        return (self.category_energy(Category.MIPI)
-                + self.category_energy(Category.UTSV))
-
-    def frame_slack(self):
-        return self.frame_time - self.digital_latency
-
-    def power_density(self, include_comm: bool = False):
-        return _power_density(self.system, self.entries, self.frame_rate,
-                              include_comm)
+def _dense(values, size: int):
+    """A per-point column from a column or a design-constant value."""
+    if isinstance(values, _np.ndarray):
+        return values
+    return _np.full(size, float(values))
 
 
-def _error_point(params: Dict[str, Any], design: Design,
-                 design_hash: Optional[str],
-                 error: CamJError) -> ExplorationPoint:
-    return ExplorationPoint(params=params, design_name=design.name,
-                            design_hash=design_hash,
-                            failure_type=type(error).__name__,
-                            failure=str(error))
-
-
-def _error_offer(design: Design, design_hash: Optional[str],
-                 options: SimOptions, error: CamJError):
-    """A cache offer for a failed outcome, iff the object path would
-    cache it; ``None`` otherwise."""
-    if design_hash is None:
-        return None
-    if classify(error) is not FailureClass.PERMANENT:
-        return None
+def _fail(points: List[Optional[ExplorationPoint]], offers: List[tuple],
+          group: List[Tuple[Dict[str, Any], SimOptions]], indices,
+          design: Design, design_hash: Optional[str],
+          error: CamJError) -> None:
+    """Fail the group points at ``indices`` with ``error``, offering each
+    outcome to the cache iff the object path would cache it."""
+    cacheable = design_hash is not None \
+        and classify(error) is FailureClass.PERMANENT
     design_name = design.name
-    return ((design_hash, options),
-            lambda: SimResult(design_name=design_name, options=options,
-                              design_hash=design_hash, error=error))
+    for i in indices:
+        params, options = group[i]
+        points[i] = ExplorationPoint(params=params, design_name=design_name,
+                                     design_hash=design_hash,
+                                     failure_type=type(error).__name__,
+                                     failure=str(error))
+        if cacheable:
+            offers.append((
+                (design_hash, options),
+                partial(SimResult, design_name=design_name, options=options,
+                        design_hash=design_hash, error=error)))
 
 
 def _new_point(params: Dict[str, Any], metrics: Dict[str, float],
@@ -245,26 +175,28 @@ def _new_bottleneck(name: str, category: Category, energy: float,
     return bottleneck
 
 
-def _vector_bottlenecks(batch: VectorBatch) -> List[Optional[Bottleneck]]:
-    """Per-point top energy bottleneck, mirroring identify_bottlenecks.
+def _vector_bottlenecks(report: EnergyReport,
+                        size: int) -> List[Optional[Bottleneck]]:
+    """Per-point top energy bottleneck of a column report, mirroring
+    identify_bottlenecks.
 
     The scalar ranking sorts (name, category) component totals by
     energy, descending and stable, and takes the head — equivalent to
     the first maximum in entry-insertion order, which is what a
     column-stacked argmax yields.
     """
-    total = batch.total_energy()
+    total = _dense(report.total_energy, size)
     groups: "OrderedDict[Tuple[str, Category], Any]" = OrderedDict()
-    for entry in batch.entries:
+    for entry in report.entries:
         key = (entry.name, entry.category)
         groups[key] = groups.get(key, 0.0) + entry.energy
     if not groups:
-        return [None] * batch.size
+        return [None] * size
     keys = list(groups)
-    matrix = _np.vstack([batch.materialize(groups[key]) for key in keys])
+    matrix = _np.vstack([_dense(groups[key], size) for key in keys])
     top = matrix.argmax(axis=0)
-    top_energy = matrix[top, _np.arange(batch.size)]
-    share = _np.zeros(batch.size)
+    top_energy = matrix[top, _np.arange(size)]
+    share = _np.zeros(size)
     positive = total > 0.0
     _np.divide(top_energy, total, out=share, where=positive)
     top_list = top.tolist()
@@ -280,7 +212,7 @@ def _vector_bottlenecks(batch: VectorBatch) -> List[Optional[Bottleneck]]:
                 for i, top in enumerate(top_list)]
     positive_list = positive.tolist()
     out: List[Optional[Bottleneck]] = []
-    for i in range(batch.size):
+    for i in range(size):
         if not positive_list[i]:
             out.append(None)
             continue
@@ -355,28 +287,17 @@ def _evaluate_columns(simulator: Simulator, design: Design,
     # Pre-simulation checks, once per design, session-deduplicated —
     # exactly the engine's prelude.  A check failure fails every
     # checked point with the same typed error the object path reports.
-    check_error: Optional[CamJError] = None
+    survivors = pending
     if any(not group[i][1].skip_checks for i in pending):
         try:
             simulator.ensure_design_checked(design, design_hash)
         except CamJError as error:
-            check_error = error
-    if check_error is None:
-        survivors = pending
-    else:
-        survivors = []
-        for i in pending:
-            params, options = group[i]
-            if options.skip_checks:
-                survivors.append(i)
-                continue
-            points[i] = _error_point(params, design, design_hash,
-                                     check_error)
-            offer = _error_offer(design, design_hash, options, check_error)
-            if offer is not None:
-                offers.append(offer)
-        if not survivors:
-            return points, hits
+            survivors = [i for i in pending if group[i][1].skip_checks]
+            _fail(points, offers, group,
+                  [i for i in pending if not group[i][1].skip_checks],
+                  design, design_hash, error)
+            if not survivors:
+                return points, hits
 
     # Design-only passes through the session memo: an interleaved or
     # subsequent object-path run of this design reuses these outputs
@@ -393,179 +314,133 @@ def _evaluate_columns(simulator: Simulator, design: Design,
             lambda: analog_usage(design.graph, design.system,
                                  design.mapping, resolved=resolved))
     except CamJError as error:
-        for i in survivors:
-            params, options = group[i]
-            points[i] = _error_point(params, design, design_hash, error)
-            offer = _error_offer(design, design_hash, options, error)
-            if offer is not None:
-                offers.append(offer)
+        _fail(points, offers, group, survivors, design, design_hash, error)
         return points, hits
 
-    # Timing, vectorized (estimate_frame_timing element-wise).  Note
+    # Timing, once for the group through the engine's own formula.
     # SimOptions validates frame_rate > 0 and exposure_slots >= 1, so
-    # only the budget check can fail here.
+    # only the frame budget can fail; an over-budget point takes the
+    # scalar TimingError of its own options.
     digital_latency = timeline.total_latency
-    if len(survivors) == len(group):
-        frame_rate_vec = _np.array([options.frame_rate
-                                    for _, options in group], dtype=float)
-    else:
-        frame_rate_vec = _np.array([float(group[i][1].frame_rate)
-                                    for i in survivors])
-    frame_time_vec = 1.0 / frame_rate_vec
-    budget = frame_time_vec - digital_latency
-    feasible_mask = budget > 0.0
-    if feasible_mask.all():
-        # Common case: every survivor fits its frame budget — skip the
-        # per-point scan and the compaction copies entirely.
-        feasible_survivors = survivors
-        frame_rate_f = frame_rate_vec
-        frame_time_f = frame_time_vec
-        budget_f = budget
-    else:
-        frame_time_list = frame_time_vec.tolist()
-        feasible_positions: List[int] = []
-        for position, feasible in enumerate(feasible_mask.tolist()):
-            if feasible:
-                feasible_positions.append(position)
-                continue
-            i = survivors[position]
-            params, options = group[i]
-            error = TimingError(
-                f"digital latency ({digital_latency:.3e} s) exceeds the "
-                f"frame budget ({frame_time_list[position]:.3e} s at "
-                f"{options.frame_rate:g} FPS); the "
-                f"digital pipeline needs a re-design")
-            points[i] = _error_point(params, design, design_hash, error)
-            offer = _error_offer(design, design_hash, options, error)
-            if offer is not None:
-                offers.append(offer)
-        if not feasible_positions:
-            return points, hits
+    members = group if len(survivors) == len(group) \
+        else [group[i] for i in survivors]
+    timing, over_budget = frame_timing(
+        _np.array([options.frame_rate for _, options in members],
+                  dtype=float),
+        digital_latency, len(participating),
+        _np.array([options.exposure_slots for _, options in members],
+                  dtype=float))
+    frame_rate = timing.frame_rate
+    frame_time = timing.frame_time
+    stage_delay = timing.analog_stage_delay
+    feasible = survivors
+    if over_budget.any():
+        for position in _np.flatnonzero(over_budget).tolist():
+            _, options = members[position]
+            try:
+                estimate_frame_timing(options.frame_rate, digital_latency,
+                                      len(participating),
+                                      options.exposure_slots)
+            except CamJError as error:
+                _fail(points, offers, group, [survivors[position]],
+                      design, design_hash, error)
         # Compact to the feasible subset (exact element copies, so the
         # downstream arithmetic is unchanged).
-        index = _np.array(feasible_positions)
-        feasible_survivors = [survivors[p] for p in feasible_positions]
-        frame_rate_f = frame_rate_vec[index]
-        frame_time_f = frame_time_vec[index]
-        budget_f = budget[index]
+        index = _np.flatnonzero(~over_budget)
+        if not len(index):
+            return points, hits
+        feasible = [survivors[position] for position in index.tolist()]
+        frame_rate = frame_rate[index]
+        frame_time = frame_time[index]
+        stage_delay = stage_delay[index]
 
-    # Build the energy columns in the engine's entry order: analog,
+    # The column report, with entries in the engine's order: analog,
     # digital, communication.
-    base_slots = float(len(participating))
-    if len(feasible_survivors) == len(group):
-        slots_f = _np.array([base_slots + options.exposure_slots
-                             for _, options in group])
-    else:
-        slots_f = _np.array([base_slots + group[i][1].exposure_slots
-                             for i in feasible_survivors])
-    delay_f = budget_f / slots_f
+    report = EnergyReport(system_name=design.system.name,
+                          frame_rate=frame_rate, frame_time=frame_time,
+                          digital_latency=digital_latency,
+                          analog_stage_delay=stage_delay)
     try:
-        entries = usage_energy(participating, delay_f)
-        entries.extend(digital_energy(design.system, timeline,
-                                      frame_time_f))
-        entries.extend(_run_pass(
+        report.extend(usage_energy(participating, stage_delay))
+        report.extend(digital_energy(design.system, timeline, frame_time))
+        report.extend(_run_pass(
             "comm_energy", memo, counters,
             lambda: communication_energy(design.graph, design.system,
                                          design.mapping,
                                          resolved=resolved)))
     except CamJError as error:
-        for i in feasible_survivors:
-            params, options = group[i]
-            points[i] = _error_point(params, design, design_hash, error)
-            offer = _error_offer(design, design_hash, options, error)
-            if offer is not None:
-                offers.append(offer)
+        _fail(points, offers, group, feasible, design, design_hash, error)
         return points, hits
 
-    batch = VectorBatch(design, len(feasible_survivors), frame_rate_f,
-                        frame_time_f, digital_latency, entries)
-
     # Metrics, column-wise, in objective order.  A failing metric is
-    # design-wide here (per-point metric failures cannot arise from the
-    # built-in vector extractors), so it fails every batch point with
-    # the object path's message.
-    columns: List[Tuple[str, List[float]]] = []
+    # design-wide here (per-point metric failures cannot arise from
+    # column-capable extractors), so it fails every point of the report
+    # with the object path's message.
+    size = len(feasible)
+    columns: List[List[float]] = []
     metric_error: Optional[CamJError] = None
     failed_objective: Optional[Metric] = None
     for objective in objectives:
         try:
-            raw = objective.vector(design, batch)
+            raw = objective.extract(design, report)
         except CamJError as error:
             metric_error = error
             failed_objective = objective
             break
-        columns.append((objective.name,
-                        batch.materialize(raw).tolist()))
+        columns.append(_dense(raw, size).tolist())
     design_name = design.name
-    system_name = design.system.name
+    if design_hash is not None:
+        # Every simulation succeeded: the object path caches each result,
+        # even when a metric then fails.
+        offers.extend(
+            ((design_hash, group[i][1]),
+             partial(_materialize_report, design_name, design_hash,
+                     group[i][1], report, column))
+            for column, i in enumerate(feasible))
     if metric_error is not None:
         failure = f"metric {failed_objective.name!r}: {metric_error}"
-        delay_list = delay_f.tolist()
-        frame_time_f_list = frame_time_f.tolist()
         failure_type = type(metric_error).__name__
-        for column, i in enumerate(feasible_survivors):
-            params, options = group[i]
+        for i in feasible:
             points[i] = ExplorationPoint(
-                params=params, design_name=design_name,
+                params=group[i][0], design_name=design_name,
                 design_hash=design_hash,
                 failure_type=failure_type, failure=failure)
-            # The simulation itself succeeded — the object path would
-            # cache its result even though the metric failed.
-            if design_hash is not None:
-                offers.append((
-                    (design_hash, options),
-                    partial(_materialize_report, design_name, system_name,
-                            design_hash, options, frame_time_f_list[column],
-                            digital_latency, delay_list[column], entries,
-                            column)))
         return points, hits
 
-    bottlenecks: List[Optional[Bottleneck]] = [None] * batch.size
+    bottlenecks: List[Optional[Bottleneck]] = [None] * size
     if annotate:
-        bottlenecks = _vector_bottlenecks(batch)
+        bottlenecks = _vector_bottlenecks(report, size)
 
-    delay_list = delay_f.tolist()
-    frame_time_f_list = frame_time_f.tolist()
-    metric_names = tuple(name for name, _ in columns)
-    metric_rows = list(zip(*(values for _, values in columns)))
-    for column, i in enumerate(feasible_survivors):
-        params, options = group[i]
-        points[i] = _new_point(params,
+    metric_names = tuple(objective.name for objective in objectives)
+    metric_rows = list(zip(*columns))
+    for column, i in enumerate(feasible):
+        points[i] = _new_point(group[i][0],
                                dict(zip(metric_names, metric_rows[column])),
                                design_name, design_hash,
                                bottlenecks[column])
-        if design_hash is not None:
-            offers.append((
-                (design_hash, options),
-                partial(_materialize_report, design_name, system_name,
-                        design_hash, options, frame_time_f_list[column],
-                        digital_latency, delay_list[column], entries,
-                        column)))
     return points, hits
 
 
-def _materialize_report(design_name: str, system_name: str,
-                        design_hash: str, options: SimOptions,
-                        frame_time: float, digital_latency: float,
-                        analog_stage_delay: float,
-                        entries: List[EnergyEntry],
+def _materialize_report(design_name: str, design_hash: str,
+                        options: SimOptions, report: EnergyReport,
                         column: int) -> SimResult:
-    """Rebuild one feasible point's full, bit-identical report.
+    """Rebuild one feasible point's full, bit-identical report from the
+    column report.
 
     Bound into a cache offer via :func:`functools.partial`, so the cost
     per point stays one (C-level) partial until the key is ever probed
     again — most explore points never are.
     """
-    report = EnergyReport(system_name=system_name,
-                          frame_rate=options.frame_rate,
-                          frame_time=frame_time,
-                          digital_latency=digital_latency,
-                          analog_stage_delay=analog_stage_delay)
-    report.extend(EnergyEntry(
+    point = EnergyReport(
+        system_name=report.system_name, frame_rate=options.frame_rate,
+        frame_time=float(report.frame_time[column]),
+        digital_latency=report.digital_latency,
+        analog_stage_delay=float(report.analog_stage_delay[column]))
+    point.extend(EnergyEntry(
         name=entry.name, category=entry.category, layer=entry.layer,
         energy=(float(entry.energy[column])
                 if isinstance(entry.energy, _np.ndarray)
                 else entry.energy),
-        stage=entry.stage) for entry in entries)
+        stage=entry.stage) for entry in report.entries)
     return SimResult(design_name=design_name, options=options,
-                     design_hash=design_hash, report=report)
+                     design_hash=design_hash, report=point)

@@ -264,11 +264,15 @@ def robust_spec_from_dict(payload: Mapping[str, Any]) -> RobustSpec:
             or not all(isinstance(item, str) for item in objectives):
         raise SerializationError(
             "'objectives' must be a non-empty list of metric names")
+    params = payload.get("params", {})
+    if not isinstance(params, dict):
+        raise SerializationError(
+            f"'params' must be an object, got {type(params).__name__}")
     space = payload.get("space")
     return RobustSpec(
         kind=payload["kind"],
         usecase=payload.get("usecase"),
-        params=dict(payload.get("params", {})),
+        params=dict(params),
         design=payload.get("design"),
         variation=(VariationModel.from_dict(variation)
                    if variation is not None else None),

@@ -16,8 +16,8 @@ exposure-slot sweep) recomputes only the option-dependent passes.
 :class:`~repro.api.Simulator` shares one memo per design content hash
 across a whole session.  The option-dependent passes are written over
 float-or-column arithmetic (:mod:`repro.columns`), so the explore fast
-path (:mod:`repro.explore.vector`) calls the very same energy models
-with per-point columns.
+path (:mod:`repro.explore.vector`) calls the very same timing and
+energy models with per-point columns.
 
 :func:`simulate` is the thin functional wrapper kept for backward
 compatibility; new code should prefer the session API

@@ -154,11 +154,12 @@ class TestSimOptions:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             SimOptions(frame_rate=0)
-        for rate in (float("nan"), float("inf")):
+        for rate in (float("nan"), float("inf"), 10**400):
             with pytest.raises(ConfigurationError):
                 SimOptions(frame_rate=rate)
-        with pytest.raises(ConfigurationError):
-            SimOptions(exposure_slots=0)
+        for slots in (0, 10**400):
+            with pytest.raises(ConfigurationError):
+                SimOptions(exposure_slots=slots)
 
     def test_round_trip(self):
         options = SimOptions(frame_rate=60.0, cycle_accurate=True)

@@ -445,6 +445,7 @@ class TestSpec:
                        {**self.SPEC, "schema": "bogus/1"},
                        {**self.SPEC, "objectives": []},
                        {**self.SPEC, "objectives": "energy_per_frame"},
+                       {**self.SPEC, "usecase": ["edgaze"]},
                        {**self.SPEC, "surprise": 1}):
             with pytest.raises(SerializationError):
                 exploration_spec_from_dict(broken)
@@ -495,6 +496,15 @@ class TestCliExplore:
         })
         assert main(["explore", spec]) == 1
         assert "TimingError" in capsys.readouterr().out
+
+    def test_explore_non_string_usecase_fails_cleanly(self, tmp_path,
+                                                      capsys):
+        from repro.__main__ import main
+
+        spec = self._write(tmp_path, {**TestSpec.SPEC, "usecase": ["fig5"]})
+        assert main(["explore", spec]) == 1
+        assert "'usecase' must be a usecase name" \
+            in capsys.readouterr().err
 
     def test_explore_missing_spec_fails_cleanly(self, tmp_path, capsys):
         from repro.__main__ import main

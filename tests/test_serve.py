@@ -338,6 +338,19 @@ class TestErrorResponses:
         assert excinfo.value.status == 400
         assert excinfo.value.error_type == "ConfigurationError"
 
+    def test_non_string_usecase_in_run_spec(self, client):
+        with pytest.raises(ServeError) as excinfo:
+            client.submit({"design": {"usecase": ["fig5"]}})
+        assert excinfo.value.status == 400
+        assert excinfo.value.error_type == "ConfigurationError"
+
+    def test_non_object_params_in_robust_spec(self, client):
+        with pytest.raises(ServeError) as excinfo:
+            client.submit({"kind": "monte_carlo", "usecase": "fig5",
+                           "params": [1], "samples": 2}, kind="robust")
+        assert excinfo.value.status == 400
+        assert excinfo.value.error_type == "SerializationError"
+
     def test_unknown_job_is_404_everywhere(self, client):
         for call in (client.job, client.result, client.cancel):
             with pytest.raises(ServeError) as excinfo:

@@ -139,11 +139,15 @@ class TestEquivalence:
         assert json.dumps(document_vector, sort_keys=True) \
             == json.dumps(document_object, sort_keys=True)
 
-    def test_every_builtin_metric_matches_exactly(self):
+    @pytest.mark.parametrize("usecase", sorted(_DESIGN_AXES))
+    def test_every_builtin_metric_matches_exactly(self, usecase):
+        # Every placement too: stacked designs take the per-layer
+        # maximum power density, and each category's share shows up.
         space = grid(**{"options.frame_rate":
-                        [9.0, 15.0, 30.0, 60.0, 120.0, 240.0, 2.0e6]})
+                        [9.0, 15.0, 30.0, 60.0, 120.0, 240.0, 2.0e6]},
+                     **_DESIGN_AXES[usecase])
         document_object, document_vector, engines = _documents(
-            space, "edgaze", objectives=tuple(available_metrics()))
+            space, usecase, objectives=tuple(available_metrics()))
         assert engines["vectorized"] == len(space)
         assert json.dumps(document_vector, sort_keys=True) \
             == json.dumps(document_object, sort_keys=True)
